@@ -213,7 +213,7 @@ func BenchmarkInterpreter(b *testing.B) {
 // the decoded-instruction cache enabled vs disabled (superblock fusion
 // off in both, so the step path itself is what's timed). The two
 // configurations must produce bit-identical simulation results
-// (enforced by TestDecodeCacheABIdentity); only host ns/op may differ.
+// (enforced by TestObservationInvisibility); only host ns/op may differ.
 func BenchmarkStepHotLoop(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
@@ -234,7 +234,7 @@ func BenchmarkStepHotLoop(b *testing.B) {
 // BenchmarkSuperblockHotLoop measures fused superblock execution against
 // the plain cached step path on the same hot loop. Both configurations
 // must produce bit-identical simulation results (enforced by
-// TestSuperblockABIdentity); only host ns/op may differ.
+// TestObservationInvisibility); only host ns/op may differ.
 func BenchmarkSuperblockHotLoop(b *testing.B) {
 	for _, tc := range []struct {
 		name     string

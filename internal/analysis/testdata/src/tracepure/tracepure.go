@@ -366,3 +366,58 @@ func (p *Port) GoodPropagate() uint64 {
 func (p *Port) BadPropagateCharging(d *Device) {
 	p.rec.Open(d.step()) // want "charges simulated cycles"
 }
+
+// Kernel mirrors hypervisor.Kernel: Emit is its one observation call,
+// and every function of this package Emit reaches derives a recorder's
+// metrics from the event, so all of them belong to the trace layer.
+type Kernel struct {
+	tr   *Tracer
+	clk  *Clock
+	mem  *Mem
+	hits uint64
+}
+
+// Emit records the event and derives metrics from it; one derivation
+// below charges, so Emit does too.
+func (k *Kernel) Emit(kind int, a0 uint64) { // want "charges simulated cycles"
+	k.tr.Emit(k.clk.Now(), a0)
+	switch kind {
+	case 1:
+		k.countHit()
+	case 2:
+		k.badDeriveCharge(a0)
+	case 3:
+		k.badDeriveMutate()
+	default:
+		k.badDeriveWallClock()
+	}
+}
+
+// countHit is a pure derivation: fine.
+func (k *Kernel) countHit() { k.hits++ }
+
+func (k *Kernel) badDeriveCharge(a0 uint64) { // want "charges simulated cycles"
+	k.clk.Charge(Cycles(a0))
+}
+
+func (k *Kernel) badDeriveMutate() { // want "mutates guest-visible platform state"
+	k.mem.Write32(0, 1)
+}
+
+func (k *Kernel) badDeriveWallClock() { // want "reads the wall clock"
+	k.hits = uint64(time.Now().UnixNano())
+}
+
+// chargeWork is kernel code Emit does not reach: not trace-layer.
+func (k *Kernel) chargeWork() { k.clk.Charge(1) }
+
+// GoodKernelEmit passes pure payload values to Kernel.Emit.
+func (d *Device) GoodKernelEmit(k *Kernel) {
+	k.Emit(1, uint64(d.clk.Now()))
+}
+
+// BadKernelEmitCharging does chargeable work inside Kernel.Emit's
+// arguments.
+func (d *Device) BadKernelEmitCharging(k *Kernel) {
+	k.Emit(1, uint64(d.step())) // want "charges simulated cycles"
+}

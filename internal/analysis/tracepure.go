@@ -21,11 +21,16 @@ import (
 //     Reachability runs over the shared whole-program call graph, so
 //     indirection doesn't hide a violation.
 //
+//     The kernel's single observation entry point, Kernel.Emit, and
+//     every function of its package it reaches (the per-recorder
+//     derivations) belong to the trace layer too.
+//
 //  2. Emission call sites: arguments of a call to a trace-type method
-//     must not contain nested calls that charge, mutate platform
-//     state, or read the wall clock — `tr.Emit(k.Now(), ...)` is the
-//     idiom; `tr.Emit(doWorkAndCharge(), ...)` would make the traced
-//     run diverge from the untraced one.
+//     or to Kernel.Emit must not contain nested calls that charge,
+//     mutate platform state, or read the wall clock —
+//     `k.Emit(kind, uint64(ec.ID), ...)` is the idiom;
+//     `k.Emit(kind, doWorkAndCharge(), ...)` would make the traced run
+//     diverge from the untraced one.
 //
 //  3. Trace-layer functions must not range over a map: encoded traces
 //     and profiles are compared byte-for-byte across runs, and map
@@ -64,6 +69,7 @@ func runTracepure(pass *Pass) {
 	reachCharge := cg.ReachesAny(isChargeSink)
 	reachMutate := cg.ReachesAny(isPlatformMutatorFunc)
 	reachWall := cg.ReachesAny(isWallClockFunc)
+	derived := emitDerivations(cg)
 
 	describe := func(fn *types.Func) string {
 		switch {
@@ -85,7 +91,7 @@ func runTracepure(pass *Pass) {
 					continue
 				}
 				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok || !isTraceLayerFunc(pkg, fn) {
+				if !ok || !isTraceLayerFunc(pkg, fn) && !derived[fn] {
 					continue
 				}
 				if why := describe(fn); why != "" {
@@ -96,7 +102,7 @@ func runTracepure(pass *Pass) {
 
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || !isTraceMethodCall(pkg, call) {
+				if !ok || !isEmissionCall(pkg, call) {
 					return true
 				}
 				for _, arg := range call.Args {
@@ -151,28 +157,69 @@ func isTraceLayerFunc(pkg *Package, fn *types.Func) bool {
 
 // recvIsTraceType reports whether fn is a method on one of the
 // traceTypeNames receivers.
-func recvIsTraceType(fn *types.Func) bool {
+func recvIsTraceType(fn *types.Func) bool { return traceTypeNames[methodRecvName(fn)] }
+
+// methodRecvName returns the name of fn's receiver type ("" for plain
+// functions and unnamed receivers).
+func methodRecvName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
 	recv := sig.Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	return ok && traceTypeNames[named.Obj().Name()]
+	if named, ok := recv.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
-// isTraceMethodCall reports whether the call invokes a method on a
-// trace type (an emission or metrics-recording site).
-func isTraceMethodCall(pkg *Package, call *ast.CallExpr) bool {
+// isEmissionCall reports whether the call invokes a method on a trace
+// type or Kernel.Emit (an emission or metrics-recording site).
+func isEmissionCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return ok && recvIsTraceType(fn)
+	return ok && (recvIsTraceType(fn) || isKernelEmit(fn))
+}
+
+// isKernelEmit reports whether fn is the kernel's observation entry
+// point: a method Emit on a type named Kernel.
+func isKernelEmit(fn *types.Func) bool {
+	return fn.Name() == "Emit" && methodRecvName(fn) == "Kernel"
+}
+
+// emitDerivations returns Kernel.Emit together with every function of
+// its package that it reaches: the code deriving each recorder's
+// metrics from an event. The sinks themselves stay out, so a violation
+// is reported on the derivation that reaches one.
+func emitDerivations(cg *CallGraph) map[*types.Func]bool {
+	seen := make(map[*types.Func]bool)
+	var work []*types.Func
+	for _, node := range cg.Ordered {
+		if isKernelEmit(node.Fn) {
+			seen[node.Fn] = true
+			work = append(work, node.Fn)
+		}
+	}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, e := range cg.Node(fn).Out {
+			c := e.Callee
+			if seen[c] || c.Pkg() != fn.Pkg() || cg.Node(c) == nil ||
+				isChargeSink(c) || isPlatformMutatorFunc(c) || isWallClockFunc(c) {
+				continue
+			}
+			seen[c] = true
+			work = append(work, c)
+		}
+	}
+	return seen
 }
 
 // isPlatformMutatorFunc reports whether fn is a method carrying one of

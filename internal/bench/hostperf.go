@@ -19,8 +19,7 @@ import (
 // This is the one experiment in the suite about the host, not the
 // simulated machine — hence the walltime import. The simulated results
 // of all three settings are bit-identical (enforced by
-// TestDecodeCacheABIdentity, TestSuperblockABIdentity and the CI
-// identity steps); only the host seconds may differ, and the speedup
+// TestObservationInvisibility and the CI on/off step); only the host seconds may differ, and the speedup
 // columns quantify by how much.
 func RunHostPerf(sc Scale) (*Table, error) {
 	type cfgSpec struct {

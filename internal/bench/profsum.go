@@ -7,14 +7,14 @@ import (
 )
 
 // benchProfPeriod is the sampling grid the profiled experiments use.
-// Profiling is zero-perturbation (enforced by TestProfilerABIdentity),
+// Profiling is zero-perturbation (enforced by TestObservationInvisibility),
 // so enabling it here cannot move any number in the tables.
 const benchProfPeriod = 10_000
 
 // benchSpanCapacity sizes the per-CPU span rings of the experiments
 // that record request spans (enough to hold every request of a quick
 // or full run without wrapping). Span recording is zero-perturbation
-// (enforced by TestSpanABIdentity), so attaching it cannot move any
+// (enforced by TestObservationInvisibility), so attaching it cannot move any
 // number in the tables.
 const benchSpanCapacity = 1 << 16
 

@@ -124,31 +124,3 @@ func TestTracedRunsByteIdentical(t *testing.T) {
 		t.Fatalf("traces differ: %d vs %d bytes", len(b1), len(b2))
 	}
 }
-
-// TestTracingZeroPerturbation requires a traced run to consume exactly
-// as much virtual time as an untraced run: trace emission must never
-// charge cycles (the tracepure analyzer enforces the same statically).
-func TestTracingZeroPerturbation(t *testing.T) {
-	run := func(capacity int) hw.Cycles {
-		r, err := NewRunner(RunnerConfig{
-			Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
-			SchedTimerHz: -1, TraceCapacity: capacity,
-		}, MustBuild(tinyTraceKernel()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles, err := r.RunUntilDone(1 << 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (capacity > 0) != (r.Tracer != nil) {
-			t.Fatalf("tracer presence does not match capacity %d", capacity)
-		}
-		return cycles
-	}
-	off, on := run(0), run(4096)
-	if off != on {
-		t.Errorf("tracing perturbed the run: %d cycles untraced, %d traced (Δ=%d)",
-			off, on, int64(on)-int64(off))
-	}
-}

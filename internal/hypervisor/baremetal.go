@@ -19,9 +19,11 @@ type BareMetal struct {
 	State  x86.CPUState
 	Interp *x86.Interp
 
-	// Prof, when set, samples execution on the virtual-time grid (same
-	// zero-perturbation contract as the kernel's profiler).
-	Prof *prof.Profiler
+	// Prof, when attached (AttachProfiler), samples execution on the
+	// virtual-time grid (same zero-perturbation contract as the
+	// kernel's profiler); profRead is its pure stack-walk reader.
+	Prof     *prof.Profiler
+	profRead prof.MemReader
 
 	// Stat, when set, carries the native run's resource accounting
 	// (instruction and device totals; a native run has no exits or IPC).
@@ -43,11 +45,7 @@ func (b *BareMetal) AttachProfiler(period uint64, capacity int) *prof.Profiler {
 	cost := b.Plat.Cost
 	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
 	b.Prof = prof.New(meta, len(b.Plat.CPUs), period, capacity)
-	read := profGuestReader(b.Plat.Mem, nil, &b.State)
-	clk := &b.Plat.BootCPU().Clock
-	b.Interp.StepHook = func() {
-		b.Prof.Tick(0, clk.Now(), prof.ModeGuest, profCtx(&b.State, read))
-	}
+	b.profRead = profGuestReader(b.Plat.Mem, nil, &b.State)
 	return b.Prof
 }
 
@@ -68,17 +66,7 @@ func (b *BareMetal) AttachStats(epochLen hw.Cycles) *stat.Registry {
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", "native", "vcpu", "0"),
 		func() uint64 { return b.Interp.InstRet })
 	statSuperblocks(r, b.Interp, "native", "0")
-	if ahci := b.Plat.AHCI; ahci != nil {
-		r.RegisterSampler("hw_ahci_commands", func() uint64 { return ahci.Stats.Commands })
-		r.RegisterSampler("hw_ahci_dma_bytes", func() uint64 { return ahci.Stats.DMABytes })
-		r.RegisterSampler("hw_ahci_irqs", func() uint64 { return ahci.Stats.IRQs })
-	}
-	if nic := b.Plat.NIC; nic != nil {
-		r.RegisterSampler("hw_nic_rx_packets", func() uint64 { return nic.Stats.PacketsReceived })
-		r.RegisterSampler("hw_nic_rx_bytes", func() uint64 { return nic.Stats.BytesReceived })
-		r.RegisterSampler("hw_nic_irqs", func() uint64 { return nic.Stats.IRQs })
-		r.RegisterSampler("hw_nic_dropped", func() uint64 { return nic.Stats.PacketsDropped })
-	}
+	statDevices(r, b.Plat)
 	return r
 }
 
@@ -229,7 +217,6 @@ func NewBareMetal(plat *hw.Platform, entry uint32) *BareMetal {
 // or a triple fault occurs.
 func (b *BareMetal) Run(until hw.Cycles) error {
 	clk := &b.Plat.BootCPU().Clock
-	cost := b.Plat.Cost
 	for clk.Now() < until {
 		b.Plat.RunEventsUntil(clk.Now())
 		pending := b.Plat.PIC.HasPending()
@@ -255,54 +242,13 @@ func (b *BareMetal) Run(until hw.Cycles) error {
 			b.Prof.SkipIdle(0, clk.Now())
 			continue
 		}
-		before := b.Interp.InstRet
-		extraBefore := b.Interp.ExtraCycles
-		var err error
-		if max := b.fuseLimit(clk, until, pending); max > 1 {
-			err = b.Interp.StepBlock(max)
-		} else {
-			err = b.Interp.Step()
+		if b.Prof != nil {
+			b.Prof.Tick(0, clk.Now(), prof.ModeGuest, profCtx(&b.State, b.profRead))
 		}
-		retired := b.Interp.InstRet - before
-		if retired == 0 {
-			retired = 1
-		}
-		clk.Charge(hw.Cycles(retired)*cost.InstructionCost + hw.Cycles(b.Interp.ExtraCycles-extraBefore))
-		if err != nil {
+		max := fuseLimit(b.Plat, b.Interp, b.DisableSuperblocks, pending, clk.Now(), min(until, b.Prof.Next(0)))
+		if err := stepGuest(b.Interp, clk, b.Plat.Cost.InstructionCost, max); err != nil {
 			return fmt.Errorf("hypervisor: native execution: %w", err)
 		}
 	}
 	return nil
-}
-
-// fuseLimit mirrors Kernel.fuseLimit for the native run loop: fused
-// instructions must fit strictly between now and the nearer of the
-// next platform event and the deadline, and a pending interrupt forces
-// single-stepping so delivery timing (including the STI shadow) stays
-// per-instruction exact. pending is the caller's loop-top
-// PIC.HasPending result; nothing between there and the step site can
-// raise a line.
-func (b *BareMetal) fuseLimit(clk *hw.Clock, until hw.Cycles, pending bool) uint64 {
-	if b.DisableSuperblocks || b.Interp.Cache == nil {
-		return 1
-	}
-	if pending {
-		b.Interp.Cache.SB.CutPending++
-		return 1
-	}
-	limit := until
-	if !b.Plat.Queue.Empty() {
-		if t := b.Plat.Queue.NextTime(); t < limit {
-			limit = t
-		}
-	}
-	now := clk.Now()
-	if limit <= now {
-		return 1
-	}
-	ic := b.Plat.Cost.InstructionCost
-	if ic == 1 {
-		return uint64(limit - now)
-	}
-	return uint64((limit - now + ic - 1) / ic)
 }

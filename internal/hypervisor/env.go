@@ -386,12 +386,7 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 	}
 	v.Shadow.Fills++
 	e.k.Stats.VTLBFills++
-	end := e.k.Now()
-	e.k.Tracer.Emit(e.k.cpu, end, trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
-	e.k.Tracer.ObserveVTLBFill(uint64(end - t0))
-	e.k.Tracer.CountVTLBMiss()
-	v.stats.fill(end)
-	e.k.profVTLBFill(st, end-t0)
+	e.k.Emit(trace.KindVTLBFill, uint64(va), uint64(e.k.Now()-t0), uint64(e.ec.ID), 0)
 	e.tlb().InsertSmall(e.tag(), va, hpa>>12, w.Writable && hostW, true, false)
 	return hpa, nil
 }

@@ -68,7 +68,7 @@ func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
 	if pt.PD != from {
 		crossAS = 1
 	}
-	k.Tracer.Emit(k.cpu, t0, trace.KindIPCCall, pt.UID, uint64(words), crossAS, 0)
+	k.Emit(trace.KindIPCCall, pt.UID, uint64(words), crossAS, 0)
 
 	// The CPU's current request span (if any) enters the kernel-IPC
 	// segment for the portal traversal; the caller's segment is restored
@@ -140,10 +140,8 @@ func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
 	k.charge(reply)
 	end := k.Now()
 	k.Spans.Transition(k.cpu, end, sp, prevSeg)
-	k.Tracer.Emit(k.cpu, end, trace.KindIPCReply, pt.UID, uint64(end-t0), crossAS, 0)
-	k.Tracer.ObserveIPC(uint64(end - t0))
+	k.Emit(trace.KindIPCReply, pt.UID, uint64(end-t0), crossAS, 0)
 	from.stats.ipc(end, uint64(words))
-	k.statIPCLatency.Observe(end, uint64(end-t0))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"nova/internal/cap"
 	"nova/internal/hw"
@@ -111,29 +112,36 @@ type Kernel struct {
 	// the kernel then keeps its hands off pending interrupts.
 	GuestOwnsPIC bool
 
+	// observed is set once AttachTracer, AttachProfiler or AttachStats
+	// has run: Emit's one branch.
+	observed bool
+
 	// preempt is set when a wakeup makes a higher-priority SC runnable
 	// so the inner execution loops return to the scheduler.
 	preempt bool
 
-	// Tracer, when set, observes kernel events (VM exits, IPC,
-	// scheduling, semaphores, vTLB maintenance) in dispatch order. All
-	// emission is nil-safe and never charges cycles: tracing must not
-	// perturb the simulation. The determinism regression test hashes
-	// the event rings: two runs from identical inputs must produce
-	// byte-identical traces, not merely identical aggregate counts.
+	// Tracer, when attached (AttachTracer), records every event passed
+	// to Emit (VM exits, IPC, scheduling, semaphores, vTLB maintenance,
+	// VMM and server events) in dispatch order. Emission never charges
+	// cycles: tracing must not perturb the simulation. The determinism
+	// regression test hashes the event rings: two runs from identical
+	// inputs must produce byte-identical traces, not merely identical
+	// aggregate counts.
 	Tracer *trace.Tracer
 
-	// Prof, when set, samples guest execution on the virtual-time grid
-	// and receives exact-cost attributions for VM exits, vTLB fills and
-	// emulated instructions. Same zero-perturbation contract as Tracer:
-	// all recording is nil-safe, charges nothing, and two profiled runs
-	// of the same workload must produce byte-identical profiles.
+	// Prof, when attached (AttachProfiler), samples guest execution on
+	// the virtual-time grid and receives exact-cost attributions for VM
+	// exits, vTLB fills (both derived at Emit) and emulated
+	// instructions. Same zero-perturbation contract as Tracer: all
+	// recording charges nothing, and two profiled runs of the same
+	// workload must produce byte-identical profiles.
 	Prof *prof.Profiler
 
-	// Stat, when set, aggregates per-object resource accounting
-	// (exits, IPC, vTLB activity, scheduler consumption) into
-	// virtual-time epochs. Same zero-perturbation contract as Tracer
-	// and Prof: all recording is nil-safe, charges nothing, and two
+	// Stat, when attached (AttachStats), aggregates per-object resource
+	// accounting (exits, IPC, vTLB activity, scheduler consumption)
+	// into virtual-time epochs, mostly derived at Emit. Same
+	// zero-perturbation contract as Tracer and Prof: all recording
+	// charges nothing, and two
 	// accounted runs of the same workload produce byte-identical
 	// snapshots. The cached handles below keep the hot paths free of
 	// name formatting.
@@ -276,6 +284,7 @@ func (k *Kernel) AttachTracer(capacity int) *trace.Tracer {
 		KindNames:        trace.KindNames(),
 	}
 	k.Tracer = trace.New(meta, len(k.Plat.CPUs), capacity)
+	k.observed = true
 	return k.Tracer
 }
 
@@ -308,6 +317,55 @@ func (k *Kernel) charge(n hw.Cycles) { k.clock().Charge(n) }
 
 // Now returns the active CPU's time.
 func (k *Kernel) Now() hw.Cycles { return k.clock().Now() }
+
+// Emit is the one observation call of every event site in the kernel,
+// the VMMs and the servers. It stamps the active CPU and its virtual
+// time and hands the event to each attached recorder; every metric a
+// recorder keeps about the event is derived here from the payload (see
+// trace.Kind for its layout). With nothing attached it costs one
+// predictable branch.
+func (k *Kernel) Emit(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	if k.observed {
+		k.observe(kind, a0, a1, a2, a3)
+	}
+}
+
+func (k *Kernel) observe(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	now := k.Now()
+	k.Tracer.Emit(k.cpu, now, kind, a0, a1, a2, a3)
+	if k.Stat != nil {
+		k.statEvent(now, kind, a0, a1, a2)
+	}
+	if k.Prof != nil {
+		k.profEvent(now, kind, a1, a2)
+	}
+}
+
+// pdByID and ecByID resolve an event payload's object id. Ids are
+// handed out in creation order, so the registries are sorted by id.
+func (k *Kernel) pdByID(id uint64) *PD {
+	i := sort.Search(len(k.pds), func(i int) bool { return uint64(k.pds[i].ID) >= id })
+	if i < len(k.pds) && uint64(k.pds[i].ID) == id {
+		return k.pds[i]
+	}
+	return nil
+}
+
+func (k *Kernel) ecByID(id uint64) *EC {
+	i := sort.Search(len(k.ecs), func(i int) bool { return uint64(k.ecs[i].ID) >= id })
+	if i < len(k.ecs) && uint64(k.ecs[i].ID) == id {
+		return k.ecs[i]
+	}
+	return nil
+}
+
+// vcpuByID is ecByID for events about a vCPU; nil if id names none.
+func (k *Kernel) vcpuByID(id uint64) *VCPU {
+	if ec := k.ecByID(id); ec != nil {
+		return ec.VCPU
+	}
+	return nil
+}
 
 // ChargeUser accounts user-level compute time (VMM emulation, device
 // model updates, server work) on the active CPU. In a real system this
@@ -352,8 +410,7 @@ func (k *Kernel) syscallEnter(caller *PD) error {
 		return ErrVMNoHypercalls
 	}
 	k.Stats.Hypercalls++
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindHypercall, uint64(caller.ID), 0, 0, 0)
-	caller.stats.hypercall(k.Now())
+	k.Emit(trace.KindHypercall, uint64(caller.ID), 0, 0, 0)
 	k.charge(k.Plat.Cost.SyscallEntryExit)
 	return nil
 }
@@ -449,10 +506,8 @@ func (k *Kernel) CreateVCPU(caller *PD, sel cap.Selector, vm *PD, cpu int, name 
 		v.Interp.Cache = x86.NewDecodeCache()
 	}
 	v.Interp.TSC = func() uint64 { return uint64(k.Plat.CPUs[cpu].Clock.Now()) }
+	v.profRead = profGuestReader(k.Plat.Mem, vm, &v.State)
 	ec.VCPU = v
-	if k.Prof != nil {
-		k.attachProfHook(ec)
-	}
 	if err := caller.Caps.Insert(sel, ec, cap.RightsAll); err != nil {
 		return nil, err
 	}
@@ -623,7 +678,7 @@ func (k *Kernel) Recall(caller *PD, ec *EC) error {
 		return fmt.Errorf("hypervisor: recall target %s is not a vCPU", ec.Name)
 	}
 	k.Stats.Recalls++
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindRecall, uint64(ec.ID), 0, 0, 0)
+	k.Emit(trace.KindRecall, uint64(ec.ID), 0, 0, 0)
 	ec.VCPU.RecallPending = true
 	k.wakeVCPU(ec)
 	return nil
@@ -723,7 +778,7 @@ func (k *Kernel) semUp(sm *Semaphore) {
 	} else {
 		sm.Counter++
 	}
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemUp, uint64(sm.ID), woken, 0, 0)
+	k.Emit(trace.KindSemUp, uint64(sm.ID), woken, 0, 0)
 }
 
 // SemDown blocks the calling EC until the semaphore is available. In
@@ -735,12 +790,12 @@ func (k *Kernel) SemDownAsync(caller *PD, ec *EC, sm *Semaphore) bool {
 	sm.Downs++
 	if sm.Counter > 0 {
 		sm.Counter--
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemDown, uint64(sm.ID), 1, 0, 0)
+		k.Emit(trace.KindSemDown, uint64(sm.ID), 1, 0, 0)
 		return true // immediately acquired; EC keeps running
 	}
 	ec.runnable = false
 	ec.waitingOn = sm
 	sm.waiters = append(sm.waiters, ec)
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemDown, uint64(sm.ID), 0, 0, 0)
+	k.Emit(trace.KindSemDown, uint64(sm.ID), 0, 0, 0)
 	return false
 }

@@ -221,9 +221,12 @@ type VCPU struct {
 	Shadow *ShadowPT
 
 	// profRead is the host-side pure memory reader the profiler's
-	// stack walker uses for this vCPU (set when a profiler attaches;
-	// never touches guest-visible state).
-	profRead prof.MemReader
+	// stack walker uses for this vCPU (never touches guest-visible
+	// state); exitRIP/exitDef32 pin the instruction that took the
+	// current VM exit for the profiler's exit attribution.
+	profRead  prof.MemReader
+	exitRIP   uint32
+	exitDef32 bool
 
 	// stats caches this vCPU's resource-accounting handles (set when a
 	// stat registry attaches; nil means accounting is off).

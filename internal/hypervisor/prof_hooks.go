@@ -13,6 +13,7 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/prof"
+	"nova/internal/trace"
 	"nova/internal/x86"
 )
 
@@ -132,42 +133,33 @@ func profCtx(st *x86.CPUState, read prof.MemReader) prof.GuestCtx {
 	}
 }
 
-// attachProfHook installs the per-instruction sampling hook on a vCPU.
-// The hook fires before each instruction executes, so the sample lands
-// on the address about to run; virtually every invocation is a single
-// time comparison inside Tick.
-func (k *Kernel) attachProfHook(ec *EC) {
-	v := ec.VCPU
-	v.profRead = profGuestReader(k.Plat.Mem, ec.PD, &v.State)
-	cpu := ec.CPU
-	clk := &k.Plat.CPUs[cpu].Clock
-	v.Interp.StepHook = func() {
-		k.Prof.Tick(cpu, clk.Now(), prof.ModeGuest, profCtx(&v.State, v.profRead))
+// profEvent derives the profiler's exit and vTLB-fill attribution from
+// one kernel event. A VM exit pins the exiting instruction's linear
+// address before the VMM's reply can rewrite EIP; the matching resume
+// attributes the whole exit window (its exact modeled cost) to that
+// instruction and gives the sampler a kernel-mode observation point,
+// so exit-handling time lands in the profile under the faulting guest
+// stack. A fill is attributed to the instruction whose access missed.
+func (k *Kernel) profEvent(now hw.Cycles, kind trace.Kind, a1, a2 uint64) {
+	switch kind {
+	case trace.KindVMExit:
+		if v := k.vcpuByID(a2); v != nil {
+			v.exitRIP, v.exitDef32 = v.State.Seg[x86.CS].Base+v.State.EIP, v.State.Seg[x86.CS].Def32
+		}
+	case trace.KindVMResume:
+		if v := k.vcpuByID(a2); v != nil {
+			k.Prof.Attribute(prof.AttribExit, v.exitRIP, v.exitDef32, a1)
+			g := profCtx(&v.State, v.profRead)
+			g.RIP, g.Def32 = v.exitRIP, v.exitDef32
+			k.Prof.Tick(k.cpu, now, prof.ModeKernel, g)
+		}
+	case trace.KindVTLBFill:
+		if v := k.vcpuByID(a2); v != nil {
+			k.Prof.Attribute(prof.AttribVTLBFill, v.State.Seg[x86.CS].Base+v.State.EIP, v.State.Seg[x86.CS].Def32, a1)
+		}
+	default:
+		// The other kinds carry no exact-cost attribution.
 	}
-}
-
-// profExit attributes one VM-exit window (exit to resume, cycles =
-// exact modeled cost) to the guest instruction that took the exit, and
-// gives the sampler a kernel-mode observation point so exit-handling
-// time lands in the profile under the faulting guest stack.
-func (k *Kernel) profExit(ec *EC, rip uint32, def32 bool, cycles hw.Cycles) {
-	if k.Prof == nil {
-		return
-	}
-	k.Prof.Attribute(prof.AttribExit, rip, def32, uint64(cycles))
-	g := profCtx(&ec.VCPU.State, ec.VCPU.profRead)
-	g.RIP, g.Def32 = rip, def32
-	k.Prof.Tick(k.cpu, k.Now(), prof.ModeKernel, g)
-}
-
-// profVTLBFill attributes one shadow-page-table fill to the guest
-// instruction whose access missed.
-func (k *Kernel) profVTLBFill(st *x86.CPUState, cycles hw.Cycles) {
-	if k.Prof == nil {
-		return
-	}
-	rip := st.Seg[x86.CS].Base + st.EIP
-	k.Prof.Attribute(prof.AttribVTLBFill, rip, st.Seg[x86.CS].Def32, uint64(cycles))
 }
 
 // ProfEmulate records one VMM-emulated instruction: exact-cost
@@ -184,17 +176,11 @@ func (k *Kernel) ProfEmulate(rip uint32, def32 bool, cycles hw.Cycles) {
 	k.Prof.Tick(k.cpu, k.Now(), prof.ModeEmulation, prof.GuestCtx{RIP: rip, Def32: def32})
 }
 
-// profServerTick gives the sampler an observation point after a server
-// EC ran; server samples carry the EC id in place of a code address.
-func (k *Kernel) profServerTick(ec *EC) {
-	k.Prof.Tick(k.cpu, k.Now(), prof.ModeServer, prof.GuestCtx{RIP: uint32(ec.ID)})
-}
-
 // AttachProfiler enables virtual-time sampling with one buffer of the
 // given capacity per CPU and a sampling grid of period cycles, and
-// returns the profiler for later encoding. Existing vCPUs get their
-// sampling hooks retrofitted; vCPUs created afterwards are hooked at
-// creation.
+// returns the profiler for later encoding. The run loop samples guest
+// execution at the grid points; exit and fill attribution derive from
+// the events Emit already sees.
 //
 // nocharge: observability plumbing; attaching the profiler models no
 // hardware work and must not move the clocks (zero-perturbation rule).
@@ -202,11 +188,7 @@ func (k *Kernel) AttachProfiler(period uint64, capacity int) *prof.Profiler {
 	cost := k.Plat.Cost
 	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
 	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, capacity)
-	for _, ec := range k.ecs {
-		if ec.Kind == ECVCPU {
-			k.attachProfHook(ec)
-		}
-	}
+	k.observed = true
 	return k.Prof
 }
 

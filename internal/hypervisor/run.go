@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nova/internal/hw"
+	"nova/internal/prof"
 	"nova/internal/trace"
 	"nova/internal/x86"
 )
@@ -68,10 +69,7 @@ func (k *Kernel) Run(until hw.Cycles) string {
 		k.current[k.cpu] = ec
 		k.preempt = false
 		wait := clk.Now() - sc.enqueuedAt
-		k.Tracer.Emit(k.cpu, clk.Now(), trace.KindSchedDispatch, uint64(ec.ID), uint64(sc.Priority), uint64(wait), 0)
-		k.Tracer.ObserveDispatch(uint64(wait))
-		ec.stats.dispatch(clk.Now())
-		k.statRunq(clk.Now(), uint64(wait))
+		k.Emit(trace.KindSchedDispatch, uint64(ec.ID), uint64(sc.Priority), uint64(wait), 0)
 
 		switch ec.Kind {
 		case ECThread:
@@ -83,9 +81,8 @@ func (k *Kernel) Run(until hw.Cycles) string {
 			if ec.WaitSem != nil && !ec.dead {
 				k.blockOnSem(ec, ec.WaitSem)
 			}
-			if k.Prof != nil {
-				k.profServerTick(ec)
-			}
+			// Server samples carry the EC id in place of a code address.
+			k.Prof.Tick(k.cpu, k.Now(), prof.ModeServer, prof.GuestCtx{RIP: uint32(ec.ID)})
 		case ECVCPU:
 			slice := sc.Left
 			if slice == 0 {
@@ -163,8 +160,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 				if v.Interp.Interruptible() {
 					if vec, ok := k.Plat.PIC.Acknowledge(); ok {
 						v.InjectedIRQs++
-						k.Tracer.Emit(k.cpu, clk.Now(), trace.KindInject, uint64(vec), uint64(ec.ID), 0, 0)
-						v.stats.inject(clk.Now())
+						k.Emit(trace.KindInject, uint64(vec), uint64(ec.ID), 0, 0)
 						if err := v.Interp.Interrupt(vec); err != nil {
 							k.handleGuestRunError(ec, err)
 						}
@@ -210,8 +206,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 				v.State.Halted = false
 				k.Stats.Injections++
 				v.InjectedIRQs++
-				k.Tracer.Emit(k.cpu, clk.Now(), trace.KindInject, uint64(v.PendingVector), uint64(ec.ID), 0, 0)
-				v.stats.inject(clk.Now())
+				k.Emit(trace.KindInject, uint64(v.PendingVector), uint64(ec.ID), 0, 0)
 				k.charge(2 * cost.VMRead) // event-injection VMWRITEs
 				if err := v.Interp.Interrupt(v.PendingVector); err != nil {
 					k.handleGuestRunError(ec, err)
@@ -253,20 +248,12 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 			continue
 		}
 
-		before := v.Interp.InstRet
-		extraBefore := v.Interp.ExtraCycles
-		var err error
-		if max := k.fuseLimit(v, clk, deadline, pending); max > 1 {
-			err = v.Interp.StepBlock(max)
-		} else {
-			err = v.Interp.Step()
+		if k.Prof != nil {
+			k.Prof.Tick(k.cpu, clk.Now(), prof.ModeGuest, profCtx(&v.State, v.profRead))
 		}
-		retired := v.Interp.InstRet - before
-		if retired == 0 {
-			retired = 1
-		}
-		clk.Charge(hw.Cycles(retired)*cost.InstructionCost + hw.Cycles(v.Interp.ExtraCycles-extraBefore))
-		if err != nil {
+		max := fuseLimit(k.Plat, v.Interp, k.Cfg.DisableSuperblocks, pending || v.RecallPending || v.PendingValid,
+			clk.Now(), min(deadline, k.Prof.Next(k.cpu)))
+		if err := stepGuest(v.Interp, clk, cost.InstructionCost, max); err != nil {
 			k.handleGuestRunError(ec, err)
 		}
 	}
@@ -275,40 +262,57 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 	}
 }
 
-// fuseLimit bounds a fused superblock run: the number of base-cost
-// instructions that fit strictly between now and the nearer of the next
-// platform event and the run deadline. Within that window the
-// sequential loop's per-step top-of-loop work (RunEventsUntil, PIC,
-// recall, injection and halt checks) is provably a no-op, so batching
-// it at the block boundary cannot change simulated behaviour. Anything
-// already pending forces single-stepping — delivery timing must stay
-// per-instruction exact (interrupt shadows, halt wake-ups). pending is
-// the caller's loop-top PIC.HasPending result: nothing between the loop
-// top and the step site can raise a line, so re-querying would only
-// duplicate the hottest check in the run loop.
-func (k *Kernel) fuseLimit(v *VCPU, clk *hw.Clock, deadline hw.Cycles, pending bool) uint64 {
-	if k.Cfg.DisableSuperblocks || v.Interp.Cache == nil {
+// fuseLimit bounds a fused superblock run of ip: the number of
+// base-cost instructions that fit strictly between now and the nearer
+// of the next platform event and limit (the run deadline, clamped to
+// the profiler's next sample point). Within that window the sequential
+// loop's per-step top-of-loop work (RunEventsUntil, PIC, recall,
+// injection, halt and sampling checks) is provably a no-op, so batching
+// it at the block boundary cannot change simulated behaviour or the
+// profile. Anything already pending forces single-stepping — delivery
+// timing must stay per-instruction exact (interrupt shadows, halt
+// wake-ups). pending includes the caller's loop-top PIC.HasPending
+// result: nothing between the loop top and the step site can raise a
+// line, so re-querying would only duplicate the hottest check in the
+// run loop. off is the superblock debugging switch.
+func fuseLimit(plat *hw.Platform, ip *x86.Interp, off, pending bool, now, limit hw.Cycles) uint64 {
+	if off || ip.Cache == nil {
 		return 1
 	}
-	if pending || v.RecallPending || v.PendingValid {
-		v.Interp.Cache.SB.CutPending++
+	if pending {
+		ip.Cache.SB.CutPending++
 		return 1
 	}
-	limit := deadline
-	if !k.Plat.Queue.Empty() {
-		if t := k.Plat.Queue.NextTime(); t < limit {
-			limit = t
-		}
+	if !plat.Queue.Empty() {
+		limit = min(limit, plat.Queue.NextTime())
 	}
-	now := clk.Now()
 	if limit <= now {
 		return 1
 	}
-	ic := k.Plat.Cost.InstructionCost
+	ic := plat.Cost.InstructionCost
 	if ic == 1 {
 		return uint64(limit - now)
 	}
 	return uint64((limit - now + ic - 1) / ic)
+}
+
+// stepGuest executes one instruction of ip, or a fused run of up to max
+// instructions, and charges the retired instructions plus any extra
+// latency to clk.
+func stepGuest(ip *x86.Interp, clk *hw.Clock, instCost hw.Cycles, max uint64) error {
+	before, extraBefore := ip.InstRet, ip.ExtraCycles
+	var err error
+	if max > 1 {
+		err = ip.StepBlock(max)
+	} else {
+		err = ip.Step()
+	}
+	retired := ip.InstRet - before
+	if retired == 0 {
+		retired = 1
+	}
+	clk.Charge(hw.Cycles(retired)*instCost + hw.Cycles(ip.ExtraCycles-extraBefore))
+	return err
 }
 
 // handleGuestRunError routes interpreter errors: VM exits go to the

@@ -3,15 +3,17 @@ package hypervisor
 // Resource-accounting plumbing. Everything in this file is host-side
 // observability riding the same zero-perturbation contract as the
 // tracer and profiler: no cycle charges, no guest-visible state
-// changes, no wall-clock reads. All recording is nil-safe (a nil
-// registry or handle struct is a no-op), and the A/B identity test in
-// internal/guest proves stats-on and stats-off runs are bit-identical.
+// changes, no wall-clock reads. Kernel events feed the registry through
+// statEvent, derived from each event's payload at Kernel.Emit, and the
+// invisibility matrix in internal/guest proves stats-on and stats-off
+// runs are bit-identical.
 
 import (
 	"fmt"
 
 	"nova/internal/hw"
 	"nova/internal/stat"
+	"nova/internal/trace"
 	"nova/internal/x86"
 )
 
@@ -20,13 +22,6 @@ type pdStats struct {
 	hypercalls stat.Counter
 	ipcCalls   stat.Counter
 	ipcWords   stat.Counter
-}
-
-func (s *pdStats) hypercall(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.hypercalls.Add(now, 1)
 }
 
 func (s *pdStats) ipc(now hw.Cycles, words uint64) {
@@ -43,13 +38,6 @@ type ecStats struct {
 	ranCycles  stat.Counter
 }
 
-func (s *ecStats) dispatch(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.dispatches.Add(now, 1)
-}
-
 func (s *ecStats) ran(now hw.Cycles, used uint64) {
 	if s == nil {
 		return
@@ -58,43 +46,14 @@ func (s *ecStats) ran(now hw.Cycles, used uint64) {
 }
 
 // vcpuStats caches the per-vCPU metric handles: one exit counter per
-// reason (so dispatchExit indexes an array instead of formatting a
-// name), the exit-latency histogram, vTLB activity and injections.
+// reason (so an exit indexes an array instead of formatting a name),
+// the exit-latency histogram, vTLB activity and injections.
 type vcpuStats struct {
 	exits       [x86.NumExitReasons]stat.Counter
 	exitLatency stat.Histogram
 	fills       stat.Counter
 	flushes     stat.Counter
 	injections  stat.Counter
-}
-
-func (s *vcpuStats) exit(reason x86.ExitReason, end hw.Cycles, dur uint64) {
-	if s == nil {
-		return
-	}
-	s.exits[reason].Add(end, 1)
-	s.exitLatency.Observe(end, dur)
-}
-
-func (s *vcpuStats) fill(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.fills.Add(now, 1)
-}
-
-func (s *vcpuStats) flush(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.flushes.Add(now, 1)
-}
-
-func (s *vcpuStats) inject(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.injections.Add(now, 1)
 }
 
 // attachStatPD builds the per-PD handles and registers the live
@@ -174,7 +133,6 @@ func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
 		{"interp_sb_invalidated", &sb.Invalidated},
 		{"interp_sb_cut_pending", &sb.CutPending},
 		{"interp_sb_cut_clamp", &sb.CutClamp},
-		{"interp_sb_cut_hook", &sb.CutHook},
 		{"interp_sb_cut_short", &sb.CutShort},
 		{"interp_sb_cut_slow", &sb.CutSlow},
 	} {
@@ -183,15 +141,55 @@ func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
 	}
 }
 
-// statRunq records the post-dispatch ready-queue depth and wait time.
-func (k *Kernel) statRunq(now hw.Cycles, wait uint64) {
-	if k.Stat == nil {
-		return
+// statEvent derives the registry's kernel series from one event's
+// payload: hypercalls per PD, dispatches, ready-queue wait and depth,
+// IPC latency, and per-vCPU exits, exit latency, vTLB fills and
+// flushes, and injections.
+func (k *Kernel) statEvent(now hw.Cycles, kind trace.Kind, a0, a1, a2 uint64) {
+	switch kind {
+	case trace.KindHypercall:
+		if pd := k.pdByID(a0); pd != nil && pd.stats != nil {
+			pd.stats.hypercalls.Add(now, 1)
+		}
+	case trace.KindSchedDispatch:
+		if ec := k.ecByID(a0); ec != nil && ec.stats != nil {
+			ec.stats.dispatches.Add(now, 1)
+		}
+		k.statReadyWait.Observe(now, a2)
+		if k.cpu < len(k.statRunqDepth) {
+			k.statRunqDepth[k.cpu].Set(now, uint64(k.runq[k.cpu].count))
+		}
+	case trace.KindIPCReply:
+		k.statIPCLatency.Observe(now, a1)
+	case trace.KindVMResume:
+		if s := k.vcpuStats(a2); s != nil && a0 < uint64(len(s.exits)) {
+			s.exits[a0].Add(now, 1)
+			s.exitLatency.Observe(now, a1)
+		}
+	case trace.KindVTLBFill:
+		if s := k.vcpuStats(a2); s != nil {
+			s.fills.Add(now, 1)
+		}
+	case trace.KindVTLBFlush:
+		if s := k.vcpuStats(a1); s != nil && a0 != 0xff { // INVLPG prunes one entry: no flush
+			s.flushes.Add(now, 1)
+		}
+	case trace.KindInject:
+		if s := k.vcpuStats(a1); s != nil {
+			s.injections.Add(now, 1)
+		}
+	default:
+		// The other kinds feed no kernel series.
 	}
-	k.statReadyWait.Observe(now, wait)
-	if k.cpu < len(k.statRunqDepth) {
-		k.statRunqDepth[k.cpu].Set(now, uint64(k.runq[k.cpu].count))
+}
+
+// vcpuStats returns the accounting handles of the vCPU with EC id id,
+// or nil.
+func (k *Kernel) vcpuStats(id uint64) *vcpuStats {
+	if v := k.vcpuByID(id); v != nil {
+		return v.stats
 	}
+	return nil
 }
 
 // statObjects registers the kernel-wide live object-count samplers.
@@ -219,14 +217,13 @@ func (k *Kernel) statObjects() {
 
 // statDevices registers the hardware device-model accounting samplers:
 // DMA volume and command/packet counts straight off the hw models.
-func (k *Kernel) statDevices() {
-	r := k.Stat
-	if ahci := k.Plat.AHCI; ahci != nil {
+func statDevices(r *stat.Registry, plat *hw.Platform) {
+	if ahci := plat.AHCI; ahci != nil {
 		r.RegisterSampler("hw_ahci_commands", func() uint64 { return ahci.Stats.Commands })
 		r.RegisterSampler("hw_ahci_dma_bytes", func() uint64 { return ahci.Stats.DMABytes })
 		r.RegisterSampler("hw_ahci_irqs", func() uint64 { return ahci.Stats.IRQs })
 	}
-	if nic := k.Plat.NIC; nic != nil {
+	if nic := plat.NIC; nic != nil {
 		r.RegisterSampler("hw_nic_rx_packets", func() uint64 { return nic.Stats.PacketsReceived })
 		r.RegisterSampler("hw_nic_rx_bytes", func() uint64 { return nic.Stats.BytesReceived })
 		r.RegisterSampler("hw_nic_irqs", func() uint64 { return nic.Stats.IRQs })
@@ -250,6 +247,7 @@ func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
 		NumCPUs: len(k.Plat.CPUs),
 	}, epochLen)
 	k.Stat = r
+	k.observed = true
 	k.statIPCLatency = r.Histogram("kernel_ipc_latency_cycles")
 	k.statReadyWait = r.Histogram("kernel_ready_wait_cycles")
 	k.statRunqDepth = k.statRunqDepth[:0]
@@ -264,6 +262,6 @@ func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
 		k.attachStatEC(ec)
 	}
 	k.statObjects()
-	k.statDevices()
+	statDevices(r, k.Plat)
 	return r
 }

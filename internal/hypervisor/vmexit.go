@@ -32,27 +32,8 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 		return k.killVM(ec, fmt.Sprintf("malformed VM exit reason %d", exit.Reason))
 	}
 	v := ec.VCPU
-	v.Exits[exit.Reason]++
-	k.Stats.VMExits[exit.Reason]++
-	t0 := k.Now()
-	k.Tracer.Emit(k.cpu, t0, trace.KindVMExit, uint64(exit.Reason), uint64(v.State.EIP), uint64(ec.ID), 0)
-	k.Tracer.CountExit(exit.Reason)
+	t0 := k.enterExit(ec, exit.Reason, 0)
 	cost := k.Plat.Cost
-
-	// Capture the faulting instruction's linear address before the
-	// VMM's reply can rewrite EIP: the profiler attributes the whole
-	// exit window to the instruction that took the exit.
-	var profRIP uint32
-	var profDef32 bool
-	if k.Prof != nil {
-		profRIP = v.State.Seg[x86.CS].Base + v.State.EIP
-		profDef32 = v.State.Seg[x86.CS].Def32
-	}
-
-	// World switch guest -> host (+ the TLB flush if untagged; the
-	// refill cost then emerges from subsequent misses).
-	k.charge(cost.VMTransitCost(k.tagged()))
-	v.Env.FlushOnWorldSwitch()
 
 	// vTLB-related intercepts never leave the kernel (§8.4: "all
 	// virtualization events, except for those related to the virtual
@@ -60,11 +41,7 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	if v.Shadow != nil && k.handleVTLBExit(ec, exit) {
 		v.Env.FlushOnWorldSwitch()
 		k.charge(cost.VMTransitCost(k.tagged()) / 8) // resume tail
-		end := k.Now()
-		k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(exit.Reason), uint64(end-t0), uint64(ec.ID), 0)
-		k.Tracer.ObserveExit(uint64(end - t0))
-		v.stats.exit(exit.Reason, end, uint64(end-t0))
-		k.profExit(ec, profRIP, profDef32, end-t0)
+		k.Emit(trace.KindVMResume, uint64(exit.Reason), uint64(k.Now()-t0), uint64(ec.ID), 0)
 		return nil
 	}
 
@@ -90,7 +67,12 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	utcb.Exit = *exit
 	utcb.State = x86.CPUState{}
 	CopyState(&utcb.State, &v.State, mtd)
-	utcb.InjectValid = false
+	// An injection still pending from an earlier exit travels with the
+	// message (the injection state MTD transfers, §5.2), so the VMM
+	// leaves further vectors in its virtual PIC instead of
+	// acknowledging one that would overwrite it.
+	utcb.InjectValid = v.PendingValid
+	utcb.InjectVector = v.PendingVector
 	utcb.WindowRequest = false
 
 	if err := k.portalCall(ec.PD, pt, utcb, mtd.WordCount()); err != nil {
@@ -114,12 +96,24 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 		v.WindowWanted = true
 	}
 	v.Env.FlushOnWorldSwitch()
-	end := k.Now()
-	k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(exit.Reason), uint64(end-t0), uint64(ec.ID), 0)
-	k.Tracer.ObserveExit(uint64(end - t0))
-	v.stats.exit(exit.Reason, end, uint64(end-t0))
-	k.profExit(ec, profRIP, profDef32, end-t0)
+	k.Emit(trace.KindVMResume, uint64(exit.Reason), uint64(k.Now()-t0), uint64(ec.ID), 0)
 	return nil
+}
+
+// enterExit takes ec's vCPU out of guest mode for one VM exit: it
+// counts and emits the exit (vec is the host vector of an external-
+// interrupt exit, else 0), then charges the world switch guest -> host
+// plus the TLB flush if untagged (the refill cost then emerges from
+// subsequent misses). It returns the exit's start time.
+func (k *Kernel) enterExit(ec *EC, r x86.ExitReason, vec uint64) hw.Cycles {
+	v := ec.VCPU
+	v.Exits[r]++
+	k.Stats.VMExits[r]++
+	t0 := k.Now()
+	k.Emit(trace.KindVMExit, uint64(r), uint64(v.State.EIP), uint64(ec.ID), vec)
+	k.charge(k.Plat.Cost.VMTransitCost(k.tagged()))
+	v.Env.FlushOnWorldSwitch()
+	return t0
 }
 
 // handleVTLBExit processes CR accesses and INVLPG for shadow-paging
@@ -128,7 +122,6 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 	v := ec.VCPU
 	cost := k.Plat.Cost
-	tlb := k.Plat.CPUs[ec.CPU].TLB
 	switch exit.Reason {
 	case x86.ExitCRAccess:
 		k.charge(6 * cost.VMRead)
@@ -138,27 +131,15 @@ func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 				flush := (v.State.CR0^exit.CRVal)&(x86.CR0PG|x86.CR0PE|x86.CR0WP) != 0
 				v.State.CR0 = exit.CRVal
 				if flush {
-					v.Shadow.Flush()
-					tlb.FlushTag(ec.PD.Tag)
-					k.Stats.VTLBFlushes++
-					k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 0, uint64(ec.ID), 0, 0)
-					v.stats.flush(k.Now())
+					k.flushVTLB(ec, 0)
 				}
 			case 3:
 				v.State.CR3 = exit.CRVal
-				v.Shadow.Flush()
-				tlb.FlushTag(ec.PD.Tag)
-				k.Stats.VTLBFlushes++
-				k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 3, uint64(ec.ID), 0, 0)
-				v.stats.flush(k.Now())
+				k.flushVTLB(ec, 3)
 				k.charge(hw.Cycles(v.Shadow.Len()) / 4)
 			case 4:
 				v.State.CR4 = exit.CRVal
-				v.Shadow.Flush()
-				tlb.FlushTag(ec.PD.Tag)
-				k.Stats.VTLBFlushes++
-				k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 4, uint64(ec.ID), 0, 0)
-				v.stats.flush(k.Now())
+				k.flushVTLB(ec, 4)
 			case 2:
 				v.State.CR2 = exit.CRVal
 			}
@@ -183,14 +164,23 @@ func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 	case x86.ExitINVLPG:
 		k.charge(6 * cost.VMRead)
 		v.Shadow.Invalidate(exit.Linear)
-		tlb.FlushVA(ec.PD.Tag, exit.Linear)
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 0xff, uint64(ec.ID), uint64(exit.Linear), 0)
+		k.Plat.CPUs[ec.CPU].TLB.FlushVA(ec.PD.Tag, exit.Linear)
+		k.Emit(trace.KindVTLBFlush, 0xff, uint64(ec.ID), uint64(exit.Linear), 0)
 		v.State.EIP += uint32(exit.InstLen)
 		return true
 	default:
 		// Every other exit reason travels to the user-level VMM (§8.4).
 		return false
 	}
+}
+
+// flushVTLB drops ec's shadow page table and its tagged TLB entries
+// after a paging-relevant write to control register cr.
+func (k *Kernel) flushVTLB(ec *EC, cr uint64) {
+	ec.VCPU.Shadow.Flush()
+	k.Plat.CPUs[ec.CPU].TLB.FlushTag(ec.PD.Tag)
+	k.Stats.VTLBFlushes++
+	k.Emit(trace.KindVTLBFlush, cr, uint64(ec.ID), 0, 0)
 }
 
 // killVM terminates a virtual machine after an unrecoverable condition.
@@ -226,32 +216,19 @@ func (k *Kernel) handleHostInterrupts(guest *EC) {
 			return
 		}
 		k.Stats.HostInterrupts++
-		cost := k.Plat.Cost
-		t0 := k.Now()
+		var t0 hw.Cycles
 		preempted := ^uint64(0) // the kernel/idle loop was interrupted
-		var profRIP uint32
-		var profDef32 bool
 		if guest != nil {
-			preempted = uint64(guest.ID)
-			if k.Prof != nil {
-				st := &guest.VCPU.State
-				profRIP = st.Seg[x86.CS].Base + st.EIP
-				profDef32 = st.Seg[x86.CS].Def32
-			}
-			guest.VCPU.Exits[x86.ExitExternalInterrupt]++
-			k.Stats.VMExits[x86.ExitExternalInterrupt]++
 			// The exit record carries the host vector and the preempted
 			// vCPU's identity, so external-interrupt exits are
 			// distinguishable from each other and from synchronous ones.
-			k.Tracer.Emit(k.cpu, t0, trace.KindVMExit, uint64(x86.ExitExternalInterrupt), uint64(guest.VCPU.State.EIP), uint64(guest.ID), uint64(vec))
-			k.Tracer.CountExit(x86.ExitExternalInterrupt)
-			k.charge(cost.VMTransitCost(k.tagged()))
-			guest.VCPU.Env.FlushOnWorldSwitch()
+			preempted = uint64(guest.ID)
+			t0 = k.enterExit(guest, x86.ExitExternalInterrupt, uint64(vec))
 		}
 		// Kernel interrupt path: vector dispatch, EOI at the PIC.
-		k.charge(cost.SyscallEntryExit / 2)
+		k.charge(k.Plat.Cost.SyscallEntryExit / 2)
 		line := vectorToLine(vec)
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindHostIRQ, uint64(vec), uint64(int64(line)), preempted, 0)
+		k.Emit(trace.KindHostIRQ, uint64(vec), uint64(int64(line)), preempted, 0)
 		if line >= 8 {
 			k.Plat.PIC.PortWrite(0xa0, 1, 0x20)
 		}
@@ -267,11 +244,7 @@ func (k *Kernel) handleHostInterrupts(guest *EC) {
 			}
 		}
 		if guest != nil {
-			end := k.Now()
-			k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(x86.ExitExternalInterrupt), uint64(end-t0), uint64(guest.ID), 0)
-			k.Tracer.ObserveExit(uint64(end - t0))
-			guest.VCPU.stats.exit(x86.ExitExternalInterrupt, end, uint64(end-t0))
-			k.profExit(guest, profRIP, profDef32, end-t0)
+			k.Emit(trace.KindVMResume, uint64(x86.ExitExternalInterrupt), uint64(k.Now()-t0), uint64(guest.ID), 0)
 		}
 	}
 }

@@ -231,8 +231,8 @@ func New(meta Meta, cpus int, period uint64, capacity int) *Profiler {
 
 // Tick advances cpu's sampling grid to now and, when one or more grid
 // points were crossed since the last call, records a single sample
-// weighted by the number of crossings. Callers invoke it from their
-// execution hot loops; virtually all calls return after one compare.
+// weighted by the number of crossings. Run loops invoke it before each
+// step or fused run; virtually all calls return after one compare.
 func (p *Profiler) Tick(cpu int, now hw.Cycles, mode Mode, g GuestCtx) {
 	if p == nil || cpu < 0 || cpu >= len(p.bufs) {
 		return
@@ -261,6 +261,18 @@ func (p *Profiler) Tick(cpu int, now hw.Cycles, mode Mode, g GuestCtx) {
 		r.n = 1
 	}
 	p.bufs[cpu].push(r)
+}
+
+// Next returns cpu's next sampling grid point. Run loops treat it as a
+// deadline, like the next platform event: a fused instruction run must
+// stop short of it, so the Tick at the following step boundary samples
+// exactly the instruction a single-stepped run would. With no profiler,
+// or before the grid is anchored, there is no point to stop at.
+func (p *Profiler) Next(cpu int) hw.Cycles {
+	if p == nil || cpu < 0 || cpu >= len(p.next) || p.next[cpu] == 0 {
+		return ^hw.Cycles(0)
+	}
+	return p.next[cpu]
 }
 
 // SkipIdle advances cpu's sampling grid past an idle period (HLT, event

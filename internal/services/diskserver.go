@@ -388,7 +388,7 @@ func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.I
 		}
 	}
 	ds.inflight[slot] = &pendingReq{client: cl, req: req, span: sp}
-	ds.K.Tracer.Emit(ds.K.CurCPU(), ds.K.Now(), trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot))
+	ds.K.Emit(trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot))
 	ds.mmioWrite(portCI, 1<<uint(slot))
 }
 
@@ -413,7 +413,7 @@ func (ds *DiskServer) handleIRQ() {
 		if ok {
 			okBit = 1
 		}
-		ds.K.Tracer.Emit(ds.K.CurCPU(), ds.K.Now(), trace.KindDiskDone, p.req.Cookie, okBit, p.client.id, 0)
+		ds.K.Emit(trace.KindDiskDone, p.req.Cookie, okBit, p.client.id, 0)
 		// The span surfaces in the server segment for the drain, then
 		// queues again until the client's completion EC is dispatched.
 		ds.K.Spans.Transition(ds.K.CurCPU(), ds.K.Now(), p.span, span.SegServer)

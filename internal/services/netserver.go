@@ -246,7 +246,7 @@ func (ns *NetServer) handleIRQ() {
 				r.Add(cl.statBytes, now, uint64(length))
 			}
 		}
-		ns.K.Tracer.Emit(ns.K.CurCPU(), ns.K.Now(), trace.KindNetRX, uint64(length), nDelivered, 0, 0)
+		ns.K.Emit(trace.KindNetRX, uint64(length), nDelivered, 0, 0)
 		if sp != 0 {
 			if nDelivered == 0 {
 				// Every client backlogged: the frame is dropped.

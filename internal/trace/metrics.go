@@ -32,7 +32,7 @@ func BucketBounds(i int) (lo, hi uint64) {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.Buckets[BucketIndex(v)]++
+	h.Buckets[BucketIndex(v)]++ // sanitized: bits.Len64 is at most 64, and there are NumBuckets = 65 buckets
 	if h.Count == 0 || v < h.Min {
 		h.Min = v
 	}

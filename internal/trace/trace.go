@@ -277,20 +277,33 @@ func New(meta Meta, cpus, capacity int) *Tracer {
 	return t
 }
 
-// Emit records one event on cpu's ring at virtual time now.
+// Emit records one event on cpu's ring at virtual time now, and
+// derives the typed metrics its payload carries: exit counts from
+// KindVMExit, the vTLB-miss count from KindVTLBFill, and the four
+// latency histograms from the duration field of KindVMResume,
+// KindIPCReply, KindSchedDispatch and KindVTLBFill.
 func (t *Tracer) Emit(cpu int, now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
 	if t == nil || cpu < 0 || cpu >= len(t.rings) {
 		return
 	}
 	t.rings[cpu].push(now, k, a0, a1, a2, a3)
-}
-
-// CountExit bumps the typed per-reason VM-exit counter.
-func (t *Tracer) CountExit(reason x86.ExitReason) {
-	if t == nil || reason < 0 || int(reason) >= x86.NumExitReasons {
-		return
+	switch k {
+	case KindVMExit:
+		if a0 < uint64(x86.NumExitReasons) {
+			t.ExitCounts[a0]++
+		}
+	case KindVMResume:
+		t.ExitLatency.Observe(a1)
+	case KindIPCReply:
+		t.IPCLatency.Observe(a1)
+	case KindSchedDispatch:
+		t.DispatchLatency.Observe(a2)
+	case KindVTLBFill:
+		t.VTLBFill.Observe(a1)
+		t.VTLBMisses++
+	default:
+		// The other kinds feed no typed metric.
 	}
-	t.ExitCounts[reason]++
 }
 
 // CountVTLBHit counts a shadow-page-table hit.
@@ -301,52 +314,12 @@ func (t *Tracer) CountVTLBHit() {
 	t.VTLBHits++
 }
 
-// CountVTLBMiss counts a vTLB miss (shadow fill).
-func (t *Tracer) CountVTLBMiss() {
-	if t == nil {
-		return
-	}
-	t.VTLBMisses++
-}
-
 // Count adds n to the named counter.
 func (t *Tracer) Count(name string, n uint64) {
 	if t == nil {
 		return
 	}
 	t.Counters.Add(name, n)
-}
-
-// ObserveIPC records one portal-call round-trip latency.
-func (t *Tracer) ObserveIPC(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.IPCLatency.Observe(cycles)
-}
-
-// ObserveDispatch records one runqueue-wait latency.
-func (t *Tracer) ObserveDispatch(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.DispatchLatency.Observe(cycles)
-}
-
-// ObserveExit records one VM-exit handling latency.
-func (t *Tracer) ObserveExit(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.ExitLatency.Observe(cycles)
-}
-
-// ObserveVTLBFill records one vTLB fill duration.
-func (t *Tracer) ObserveVTLBFill(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.VTLBFill.Observe(cycles)
 }
 
 // Rings returns the per-CPU rings (index = CPU).

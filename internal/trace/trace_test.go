@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nova/internal/hw"
-	"nova/internal/x86"
 )
 
 func TestRingWraparound(t *testing.T) {
@@ -130,14 +129,8 @@ func TestCounterSetSortedOrder(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(0, 1, KindVMExit, 1, 2, 3, 4)
-	tr.CountExit(x86.ExitReason(1))
 	tr.CountVTLBHit()
-	tr.CountVTLBMiss()
 	tr.Count("x", 1)
-	tr.ObserveIPC(1)
-	tr.ObserveDispatch(1)
-	tr.ObserveExit(1)
-	tr.ObserveVTLBFill(1)
 	if tr.Rings() != nil || tr.Events() != nil {
 		t.Error("nil tracer returned data")
 	}
@@ -181,10 +174,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr.Emit(0, 200, KindIPCReply, 4, 90, 1, 0)
 	tr.Emit(0, 300, KindVMResume, 1, 200, 2, 0) // wraps: drops the first
 	tr.Emit(1, 150, KindSemUp, 3, 1, 0, 0)
-	tr.CountExit(x86.ExitReason(1))
+	tr.Emit(1, 160, KindVTLBFill, 0x1000, 500, 2, 0)
 	tr.Count("mmio.vahci", 7)
-	tr.ObserveIPC(90)
-	tr.ObserveVTLBFill(500)
 
 	b, err := tr.Encode()
 	if err != nil {
@@ -197,7 +188,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(d.Meta, tr.Meta) {
 		t.Errorf("meta mismatch:\n got %+v\nwant %+v", d.Meta, tr.Meta)
 	}
-	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 2 || len(d.PerCPU[1]) != 1 {
+	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 2 || len(d.PerCPU[1]) != 2 {
 		t.Fatalf("per-CPU shapes: %d/%d", len(d.PerCPU[0]), len(d.PerCPU[1]))
 	}
 	if d.Overwritten[0] != 1 || d.Overwritten[1] != 0 {
@@ -207,7 +198,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("cpu0 events: got %+v want %+v", d.PerCPU[0], tr.rings[0].Events())
 	}
 	if d.Metrics.Exits[0].Count != 1 || d.Metrics.Counters[0].Name != "mmio.vahci" ||
-		d.Metrics.IPCLatency.Count != 1 || d.Metrics.VTLBFill.Sum != 500 {
+		d.Metrics.IPCLatency.Count != 1 || d.Metrics.ExitLatency.Sum != 200 ||
+		d.Metrics.VTLBFill.Sum != 500 || d.Metrics.VTLBMisses != 1 {
 		t.Errorf("metrics: %+v", d.Metrics)
 	}
 	if !reflect.DeepEqual(d.Events(), tr.Events()) {

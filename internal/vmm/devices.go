@@ -32,10 +32,10 @@ func (m *VMM) handleIO(msg *hypervisor.UTCB) error {
 	e := &msg.Exit
 	if e.In {
 		val := m.portRead(e.Port, e.Size)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindPIO, uint64(e.Port), 1, uint64(val), uint64(e.Size))
+		m.K.Emit(trace.KindPIO, uint64(e.Port), 1, uint64(val), uint64(e.Size))
 		msg.State.SetReg(x86.EAX, e.Size, val)
 	} else {
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindPIO, uint64(e.Port), 0, uint64(e.OutVal), uint64(e.Size))
+		m.K.Emit(trace.KindPIO, uint64(e.Port), 0, uint64(e.OutVal), uint64(e.Size))
 		switch e.Port {
 		case BIOSTrapPort:
 			m.biosCall(msg)
@@ -113,7 +113,7 @@ func (m *VMM) mmioRead(gpa uint64, size int) (uint32, bool) {
 		m.Stats.MMIO++
 		m.count(m.statNames.mmio, 1)
 		val := m.vAHCI.MMIORead(uint32(gpa-VAHCIBase), size)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindMMIO, gpa, 1, uint64(val), uint64(size))
+		m.K.Emit(trace.KindMMIO, gpa, 1, uint64(val), uint64(size))
 		m.K.Tracer.Count("mmio.vahci", 1)
 		return val, true
 	}
@@ -125,7 +125,7 @@ func (m *VMM) mmioWrite(gpa uint64, size int, val uint32) bool {
 	if m.vAHCI != nil && gpa >= VAHCIBase && gpa < VAHCIBase+0x1000 {
 		m.Stats.MMIO++
 		m.count(m.statNames.mmio, 1)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindMMIO, gpa, 0, uint64(val), uint64(size))
+		m.K.Emit(trace.KindMMIO, gpa, 0, uint64(val), uint64(size))
 		m.K.Tracer.Count("mmio.vahci", 1)
 		m.vAHCI.MMIOWrite(uint32(gpa-VAHCIBase), size, val)
 		return true

@@ -36,13 +36,6 @@ type Interp struct {
 
 	// pager is Env's ExecPager extension, captured once at creation.
 	pager ExecPager
-
-	// StepHook, when set, is invoked at the top of every Step, before
-	// the instruction at the current EIP is fetched. The profiler's
-	// virtual-time sampler hangs off it. Host-side only: the hook must
-	// not touch guest state or clocks, and a nil hook costs exactly
-	// one predicted branch, so execution is unchanged when disabled.
-	StepHook func()
 }
 
 // NewInterp binds an interpreter to an environment and CPU state.
@@ -129,9 +122,6 @@ func (ip *Interp) Step() error {
 	st := ip.St
 	if st.Halted {
 		return nil // waiting for an interrupt; the run loop advances time
-	}
-	if ip.StepHook != nil {
-		ip.StepHook()
 	}
 	prevShadow := st.IntShadow
 	st.IntShadow = false

@@ -25,8 +25,9 @@ import "fmt"
 //     changes only hw.TLBStats.Hits, the sanctioned host-side counter
 //     (DESIGN.md §3a).
 //   - The binding layer caps the block (StepBlock's max) so virtual
-//     time cannot run past the next platform event or the run-loop
-//     deadline: no event, interrupt-window or preemption check that the
+//     time cannot run past the next platform event, the run-loop
+//     deadline or the profiler's next sample point: no event,
+//     interrupt-window, preemption or sampling check that the
 //     sequential loop would have performed mid-block could have fired.
 //     When anything is already pending, the binding layer forces
 //     max=1 and the existing single-step path runs instead.
@@ -73,9 +74,6 @@ type SuperblockStats struct {
 	// CutClamp counts fused executions truncated below the cached
 	// block's length by the event-horizon/deadline cap.
 	CutClamp uint64
-	// CutHook counts single-steps forced by an attached StepHook
-	// (profiler sampling needs per-instruction granularity).
-	CutHook uint64
 	// CutShort counts entry points with no fusible run of length >= 2.
 	CutShort uint64
 	// CutSlow counts fallbacks where the fetch had no fast path
@@ -164,18 +162,15 @@ func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, off int, def32, 
 // delta exactly as it does after Step — a fused run retires n
 // instructions with zero ExtraCycles, so the one batched charge equals
 // the n sequential charges it replaces. The caller must ensure max
-// instructions fit before the next platform event and the run deadline,
-// and must force max=1 (or call Step) when an interrupt, recall or
-// injection is pending.
+// instructions fit before the next platform event, the run deadline and
+// the profiler's next sample point, and must force max=1 (or call Step)
+// when an interrupt, recall or injection is pending.
 func (ip *Interp) StepBlock(max uint64) error {
 	st := ip.St
 	if st.Halted {
 		return nil // waiting for an interrupt; the run loop advances time
 	}
-	if ip.StepHook != nil || ip.Cache == nil || ip.pager == nil || max < 2 {
-		if ip.Cache != nil && ip.StepHook != nil {
-			ip.Cache.SB.CutHook++
-		}
+	if ip.Cache == nil || ip.pager == nil || max < 2 {
 		return ip.Step()
 	}
 	prevShadow := st.IntShadow
