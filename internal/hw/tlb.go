@@ -20,11 +20,6 @@ type TLBEntry struct {
 	Global   bool // survives single-tag flushes (PGE)
 }
 
-type tlbKey struct {
-	tag TLBTag
-	vpn uint32
-}
-
 // TLBStats counts TLB activity; the Figure 5 paging-mode deltas and the
 // "TLB effects" box of Figure 8 derive from these.
 type TLBStats struct {
@@ -43,16 +38,15 @@ type TLBStats struct {
 // large-page entry covers an entire 2M/4M region with a single entry,
 // which is why large host pages lower TLB pressure (Figure 5's "EPT,
 // small pages" bars).
+//
+// Each array is fully associative with a fixed capacity and evicts in
+// true FIFO order: a full array drops the entry inserted longest ago,
+// counting only entries still present. Lookup, insert, eviction and
+// FlushVA are O(1); FlushTag walks the occupied slots, O(capacity);
+// FlushAll is a reset.
 type TLB struct {
-	smallCap int
-	largeCap int
-
-	small map[tlbKey]*TLBEntry
-	large map[tlbKey]*TLBEntry
-
-	// FIFO eviction rings for determinism.
-	smallOrder []tlbKey
-	largeOrder []tlbKey
+	small tlbArray
+	large tlbArray
 
 	largeShift uint // log2 of the large page size (21 for 2M, 22 for 4M)
 
@@ -60,19 +54,17 @@ type TLB struct {
 }
 
 // NewTLB creates a TLB with the given entry capacities and large-page
-// size in bytes (must be a power of two >= 2M).
+// size in bytes (must be a power of two >= 2M). A capacity below one
+// holds one entry.
 func NewTLB(smallCap, largeCap int, largePage uint32) *TLB {
 	shift := uint(0)
 	for p := largePage; p > 1; p >>= 1 {
 		shift++
 	}
-	return &TLB{
-		smallCap:   smallCap,
-		largeCap:   largeCap,
-		small:      make(map[tlbKey]*TLBEntry, smallCap),
-		large:      make(map[tlbKey]*TLBEntry, largeCap),
-		largeShift: shift,
-	}
+	t := &TLB{largeShift: shift}
+	t.small.init(smallCap)
+	t.large.init(largeCap)
+	return t
 }
 
 // LargePageSize returns the large page size in bytes.
@@ -81,61 +73,44 @@ func (t *TLB) LargePageSize() uint32 { return 1 << t.largeShift }
 func (t *TLB) largeVPN(vaddr uint32) uint32 { return vaddr >> t.largeShift }
 
 // Lookup searches for a translation of vaddr under tag. On a hit it
-// returns the entry.
+// returns the entry, which stays valid only until the next insert or
+// flush.
 func (t *TLB) Lookup(tag TLBTag, vaddr uint32) (*TLBEntry, bool) {
-	if e, ok := t.large[tlbKey{tag, t.largeVPN(vaddr)}]; ok {
+	if i := t.large.find(tag, t.largeVPN(vaddr)); i != tlbNil {
 		t.Stats.Hits++
-		return e, true
+		return &t.large.slots[i].e, true
 	}
-	if e, ok := t.small[tlbKey{tag, vaddr >> 12}]; ok {
+	if i := t.small.find(tag, vaddr>>12); i != tlbNil {
 		t.Stats.Hits++
-		return e, true
+		return &t.small.slots[i].e, true
 	}
 	t.Stats.Misses++
 	return nil, false
 }
 
-// Insert caches a translation. For large entries, VPN must already be the
-// large-page-aligned virtual page number (vaddr >> largeShift stored as
-// VPN) — use InsertLarge/InsertSmall helpers to avoid mistakes.
-func (t *TLB) insert(m map[tlbKey]*TLBEntry, order *[]tlbKey, capn int, k tlbKey, e *TLBEntry) {
-	if _, exists := m[k]; !exists && len(m) >= capn {
-		// FIFO eviction of the oldest still-present key.
-		for len(*order) > 0 {
-			victim := (*order)[0]
-			*order = (*order)[1:]
-			if _, ok := m[victim]; ok {
-				delete(m, victim)
-				t.Stats.Evictions++
-				break
-			}
-		}
-	}
-	if _, exists := m[k]; !exists {
-		*order = append(*order, k)
-	}
-	m[k] = e
-	t.Stats.Fills++
-}
-
 // InsertSmall caches a 4K translation for vaddr.
 func (t *TLB) InsertSmall(tag TLBTag, vaddr uint32, pfn uint64, writable, user, global bool) {
-	k := tlbKey{tag, vaddr >> 12}
-	t.insert(t.small, &t.smallOrder, t.smallCap, k, &TLBEntry{
-		Tag: tag, VPN: k.vpn, PFN: pfn, Writable: writable, User: user, Global: global,
-	})
+	t.Stats.Fills++
+	if t.small.insert(TLBEntry{
+		Tag: tag, VPN: vaddr >> 12, PFN: pfn, Writable: writable, User: user, Global: global,
+	}) {
+		t.Stats.Evictions++
+	}
 }
 
 // InsertLarge caches a large-page translation for vaddr. pfn is the
 // physical frame number of the large frame base (paddr >> 12).
 func (t *TLB) InsertLarge(tag TLBTag, vaddr uint32, pfn uint64, writable, user, global bool) {
-	k := tlbKey{tag, t.largeVPN(vaddr)}
-	t.insert(t.large, &t.largeOrder, t.largeCap, k, &TLBEntry{
-		Tag: tag, VPN: k.vpn, PFN: pfn, Large: true, Writable: writable, User: user, Global: global,
-	})
+	t.Stats.Fills++
+	if t.large.insert(TLBEntry{
+		Tag: tag, VPN: t.largeVPN(vaddr), PFN: pfn, Large: true, Writable: writable, User: user, Global: global,
+	}) {
+		t.Stats.Evictions++
+	}
 }
 
-// Translate returns the physical address for vaddr if cached.
+// Translate returns the physical address for vaddr if cached, with the
+// entry as Lookup returns it.
 func (t *TLB) Translate(tag TLBTag, vaddr uint32) (PhysAddr, *TLBEntry, bool) {
 	e, ok := t.Lookup(tag, vaddr)
 	if !ok {
@@ -153,49 +128,164 @@ func (t *TLB) Translate(tag TLBTag, vaddr uint32) (PhysAddr, *TLBEntry, bool) {
 // the caller choosing FlushAll vs FlushTag).
 func (t *TLB) FlushAll() {
 	t.Stats.FlushAll++
-	t.Stats.FlushedEnt += uint64(len(t.small) + len(t.large))
-	clearMap(t.small)
-	clearMap(t.large)
-	t.smallOrder = t.smallOrder[:0]
-	t.largeOrder = t.largeOrder[:0]
+	t.Stats.FlushedEnt += uint64(t.small.n + t.large.n)
+	t.small.reset()
+	t.large.reset()
 }
 
 // FlushTag drops all non-global entries with the given tag (tagged
 // address-space switch / INVVPID single-context).
 func (t *TLB) FlushTag(tag TLBTag) {
 	t.Stats.FlushTag++
-	for k, e := range t.small {
-		if k.tag == tag && !e.Global {
-			delete(t.small, k)
-			t.Stats.FlushedEnt++
-		}
-	}
-	for k, e := range t.large {
-		if k.tag == tag && !e.Global {
-			delete(t.large, k)
-			t.Stats.FlushedEnt++
-		}
-	}
+	t.Stats.FlushedEnt += t.small.flushTag(tag) + t.large.flushTag(tag)
 }
 
 // FlushVA drops the entry covering vaddr under tag (INVLPG).
 func (t *TLB) FlushVA(tag TLBTag, vaddr uint32) {
 	t.Stats.FlushVA++
-	if _, ok := t.small[tlbKey{tag, vaddr >> 12}]; ok {
-		delete(t.small, tlbKey{tag, vaddr >> 12})
+	if i := t.small.find(tag, vaddr>>12); i != tlbNil {
+		t.small.remove(i)
 		t.Stats.FlushedEnt++
 	}
-	if _, ok := t.large[tlbKey{tag, t.largeVPN(vaddr)}]; ok {
-		delete(t.large, tlbKey{tag, t.largeVPN(vaddr)})
+	if i := t.large.find(tag, t.largeVPN(vaddr)); i != tlbNil {
+		t.large.remove(i)
 		t.Stats.FlushedEnt++
 	}
 }
 
 // Len returns the number of cached entries.
-func (t *TLB) Len() int { return len(t.small) + len(t.large) }
+func (t *TLB) Len() int { return t.small.n + t.large.n }
 
-func clearMap(m map[tlbKey]*TLBEntry) {
-	for k := range m {
-		delete(m, k)
+// tlbNil is the null slot link.
+const tlbNil = -1
+
+// tlbSlot holds one entry by value with its links: next chains the
+// slot into its hash bucket (or the free list), older/newer into the
+// insertion order.
+type tlbSlot struct {
+	e            TLBEntry
+	next         int32
+	older, newer int32
+}
+
+// tlbArray is one fully associative, fixed-capacity, true-FIFO array.
+// A chained hash index (buckets, at least twice the capacity) finds a
+// slot; the insertion-order list runs from oldest to newest.
+type tlbArray struct {
+	slots   []tlbSlot
+	buckets []int32 // head slot of each hash chain
+	mask    uint32  // len(buckets)-1
+	free    int32   // head of the free-slot list
+	oldest  int32
+	newest  int32
+	n       int
+}
+
+func (a *tlbArray) init(capn int) {
+	capn = max(capn, 1)
+	nb := 2
+	for nb < 2*capn {
+		nb <<= 1
 	}
+	a.slots = make([]tlbSlot, capn)
+	a.buckets = make([]int32, nb)
+	a.mask = uint32(nb - 1)
+	a.reset()
+}
+
+// reset empties the array: every bucket null, every slot free.
+func (a *tlbArray) reset() {
+	for b := range a.buckets {
+		a.buckets[b] = tlbNil
+	}
+	for i := range a.slots {
+		a.slots[i].next = int32(i + 1)
+	}
+	a.slots[len(a.slots)-1].next = tlbNil
+	a.free, a.oldest, a.newest, a.n = 0, tlbNil, tlbNil, 0
+}
+
+// bucket returns the hash bucket of (tag, vpn), masked to the table.
+func (a *tlbArray) bucket(tag TLBTag, vpn uint32) *int32 {
+	h := (vpn ^ uint32(tag)<<16) * 0x9e3779b1
+	// sanitized: masked by a.mask = len(a.buckets)-1, a power of two minus one.
+	return &a.buckets[(h^h>>16)&a.mask]
+}
+
+// find returns the slot holding (tag, vpn), or tlbNil.
+func (a *tlbArray) find(tag TLBTag, vpn uint32) int32 {
+	i := *a.bucket(tag, vpn)
+	for i != tlbNil {
+		s := &a.slots[i]
+		if s.e.VPN == vpn && s.e.Tag == tag {
+			return i
+		}
+		i = s.next
+	}
+	return tlbNil
+}
+
+// insert stores e and reports whether that evicted the oldest entry. A
+// key already present is refilled in place and keeps its FIFO position.
+func (a *tlbArray) insert(e TLBEntry) (evicted bool) {
+	if i := a.find(e.Tag, e.VPN); i != tlbNil {
+		a.slots[i].e = e
+		return false
+	}
+	if a.free == tlbNil {
+		a.remove(a.oldest)
+		evicted = true
+	}
+	i := a.free
+	s := &a.slots[i]
+	a.free = s.next
+	head := a.bucket(e.Tag, e.VPN)
+	s.e, s.next, *head = e, *head, i
+	s.older, s.newer = a.newest, tlbNil
+	if a.newest != tlbNil {
+		a.slots[a.newest].newer = i
+	} else {
+		a.oldest = i
+	}
+	a.newest = i
+	a.n++
+	return evicted
+}
+
+// remove unlinks occupied slot i from its hash chain and the insertion
+// order, and frees it.
+func (a *tlbArray) remove(i int32) {
+	s := &a.slots[i]
+	p := a.bucket(s.e.Tag, s.e.VPN)
+	for *p != i {
+		p = &a.slots[*p].next
+	}
+	*p = s.next
+	if s.older != tlbNil {
+		a.slots[s.older].newer = s.newer
+	} else {
+		a.oldest = s.newer
+	}
+	if s.newer != tlbNil {
+		a.slots[s.newer].older = s.older
+	} else {
+		a.newest = s.older
+	}
+	s.next, a.free = a.free, i
+	a.n--
+}
+
+// flushTag removes the non-global entries tagged tag, walking the
+// occupied slots oldest to newest, and returns how many it removed.
+func (a *tlbArray) flushTag(tag TLBTag) (dropped uint64) {
+	for i := a.oldest; i != tlbNil; {
+		s := &a.slots[i]
+		next := s.newer
+		if s.e.Tag == tag && !s.e.Global {
+			a.remove(i)
+			dropped++
+		}
+		i = next
+	}
+	return dropped
 }
