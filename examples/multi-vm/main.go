@@ -16,12 +16,13 @@ import (
 	"nova/internal/guest"
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
+	"nova/internal/obs"
 	"nova/internal/services"
 	"nova/internal/vmm"
 )
 
 func main() {
-	statsFile := flag.String("stats", "", "write a resource-accounting snapshot (view with nova-stat)")
+	obsFile := flag.String("obs", "", "write a NOVAOBS1 file with a resource-accounting snapshot (view with nova-obs stat)")
 	flag.Parse()
 
 	plat := hw.MustNewPlatform(hw.Config{Model: hw.BLM, RAMSize: 256 << 20})
@@ -29,7 +30,7 @@ func main() {
 	root := services.NewRootPM(k)
 	ds, err := root.StartDiskServer()
 	check(err)
-	if *statsFile != "" {
+	if *obsFile != "" {
 		k.AttachStats(0) // per-VM attribution; 0 = default epoch length
 	}
 	k.StartSchedulingTimer(667)
@@ -97,11 +98,11 @@ func main() {
 	fmt.Printf("host controller: %d commands, %d bytes DMA\n",
 		plat.AHCI.Stats.Commands, plat.AHCI.Stats.DMABytes)
 
-	if *statsFile != "" {
-		b, err := k.Stat.Snapshot(k.Now()).Encode()
+	if *obsFile != "" {
+		b, err := obs.FromKernel(k, nil).Encode()
 		check(err)
-		check(os.WriteFile(*statsFile, b, 0o644))
-		fmt.Printf("stats: %s (try: nova-stat report -filter kernel_vmexits %s)\n", *statsFile, *statsFile)
+		check(os.WriteFile(*obsFile, b, 0o644))
+		fmt.Printf("obs: %s (try: nova-obs stat report -filter kernel_vmexits %s)\n", *obsFile, *obsFile)
 	}
 }
 

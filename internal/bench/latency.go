@@ -39,19 +39,8 @@ type latencyAcc struct {
 
 // add folds one run's recorded spans into the accumulator. A nil
 // recorder (spans not attached) is a no-op.
-func (a *latencyAcc) add(rec *span.Recorder) error {
-	if rec == nil {
-		return nil
-	}
-	b, err := rec.Encode()
-	if err != nil {
-		return err
-	}
-	d, err := span.Decode(b)
-	if err != nil {
-		return err
-	}
-	for _, s := range span.BuildSpans(d) {
+func (a *latencyAcc) add(rec *span.Recorder) {
+	for _, s := range span.BuildSpans(rec.Events()) {
 		if !s.Closed || int(s.Class) >= int(span.NumClasses) {
 			continue
 		}
@@ -60,7 +49,6 @@ func (a *latencyAcc) add(rec *span.Recorder) error {
 			a.segs[s.Class][i] += v
 		}
 	}
-	return nil
 }
 
 // block renders the accumulated spans as the experiment's Latency

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"nova/internal/hw"
@@ -35,7 +36,7 @@ func determinismRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32)
 	for _, n := range r.Tracer.ExitCounts {
 		exits += n
 	}
-	return cycles, r.Tracer.Hash(), exits
+	return cycles, traceHash(t, r), exits
 }
 
 // TestDeterministicBootDoubleRun boots the same guest workload twice on
@@ -88,4 +89,21 @@ func TestDeterministicBootDoubleRun(t *testing.T) {
 			t.Logf("%s: %d cycles, %d exits, trace %s", tc.name, c1, n1, fmt.Sprintf("%#x", h1))
 		})
 	}
+}
+
+// traceHash returns the FNV-64a hash of the run's encoded trace
+// section: identical runs must give identical traces, not merely
+// identical counts. Zero when no tracer is attached.
+func traceHash(t *testing.T, r *Runner) uint64 {
+	t.Helper()
+	if r.Tracer == nil {
+		return 0
+	}
+	b, err := r.Tracer.Data().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }

@@ -40,7 +40,7 @@ type abResult struct {
 	traceHash uint64 // 0 when no tracer is attached
 	ramHash   uint64
 	state     string
-	profile   []byte // encoded profile, when a profiler is attached
+	profile   []byte // encoded prof section, when a profiler is attached
 	fused     uint64
 }
 
@@ -57,9 +57,7 @@ func abRun(t *testing.T, cfg RunnerConfig, w abWorkload) abResult {
 	if res.cycles, err = r.RunUntilDone(10_000_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if r.Tracer != nil {
-		res.traceHash = r.Tracer.Hash()
-	}
+	res.traceHash = traceHash(t, r)
 	h := fnv.New64a()
 	h.Write(r.Plat.Mem.RAM())
 	res.ramHash = h.Sum64()
@@ -73,7 +71,7 @@ func abRun(t *testing.T, cfg RunnerConfig, w abWorkload) abResult {
 		res.fused = ip.Cache.SB.Fused
 	}
 	if r.Prof != nil {
-		if res.profile, err = r.EncodeProfile(16); err != nil {
+		if res.profile, err = decodeObs(t, r).Prof.MarshalBinary(); err != nil {
 			t.Fatalf("encode profile: %v", err)
 		}
 	}
@@ -82,8 +80,8 @@ func abRun(t *testing.T, cfg RunnerConfig, w abWorkload) abResult {
 
 // TestObservationInvisibility is the A/B matrix for everything host-side:
 // the decoded-instruction cache, superblocks, and each recorder (tracer,
-// profiler, stat registry, span recorder), across execution modes and
-// with superblocks on and off. Each row flips one switch and requires
+// profiler, stat registry, span recorder) alone and all together,
+// across execution modes and with superblocks on and off. Each row flips one switch and requires
 // bit-identical simulated outcomes: cycle totals, encoded-trace hash,
 // final physical memory and final vCPU state. Any divergence means the
 // switched layer leaked into the simulation (a charge, an event, or
@@ -123,6 +121,7 @@ func TestObservationInvisibility(t *testing.T) {
 		{name: "profiler", on: profiled, bothSB: true},
 		{name: "stats", on: func(c *RunnerConfig) { c.StatEpoch = stat.DefaultEpochLen }, bothSB: true},
 		{name: "spans", on: func(c *RunnerConfig) { c.SpanCapacity = 4096 }, bothSB: true},
+		{name: "all-recorders", on: allRecorders, bothSB: true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

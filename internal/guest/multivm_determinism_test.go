@@ -57,12 +57,13 @@ func stepChunk(t *testing.T, r *Runner) (hw.Cycles, bool) {
 }
 
 // finish snapshots a machine's result once it reported done.
-func finish(r *Runner, cycles hw.Cycles) machineResult {
+func finish(t *testing.T, r *Runner, cycles hw.Cycles) machineResult {
+	t.Helper()
 	h := fnv.New64a()
 	h.Write(r.Plat.Mem.RAM())
 	return machineResult{
 		cycles:    cycles,
-		traceHash: r.Tracer.Hash(),
+		traceHash: traceHash(t, r),
 		ramHash:   h.Sum64(),
 		state:     r.VCPU().State.String(),
 	}
@@ -75,7 +76,7 @@ func runIsolated(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) ma
 	r := newMachine(t, cfg, img, params)
 	for {
 		if cycles, done := stepChunk(t, r); done {
-			return finish(r, cycles)
+			return finish(t, r, cycles)
 		}
 	}
 }
@@ -91,12 +92,12 @@ func runInterleaved(t *testing.T, a, b *Runner, aChunks, bChunks int) (machineRe
 	for !doneA || !doneB {
 		for i := 0; i < aChunks && !doneA; i++ {
 			if cycles, done := stepChunk(t, a); done {
-				resA, doneA = finish(a, cycles), true
+				resA, doneA = finish(t, a, cycles), true
 			}
 		}
 		for i := 0; i < bChunks && !doneB; i++ {
 			if cycles, done := stepChunk(t, b); done {
-				resB, doneB = finish(b, cycles), true
+				resB, doneB = finish(t, b, cycles), true
 			}
 		}
 	}

@@ -5,29 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"nova/internal/prof"
+	"nova/internal/obs"
 )
-
-// profEncodeRun performs one profiled run and returns the encoded
-// profile bytes.
-func profEncodeRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte {
-	t.Helper()
-	cfg.ProfilePeriod = 10_000
-	r, err := NewRunner(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Chunk = 100_000
-	writeParams(r, params...)
-	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	b, err := r.EncodeProfile(16)
-	if err != nil {
-		t.Fatalf("encode profile: %v", err)
-	}
-	return b
-}
 
 // TestProfileDoubleRunByteIdentity runs each workload twice with
 // profiling enabled and requires byte-identical encoded profiles with a
@@ -37,15 +16,17 @@ func profEncodeRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) 
 func TestProfileDoubleRunByteIdentity(t *testing.T) {
 	for _, tc := range abWorkloads() {
 		t.Run(tc.name, func(t *testing.T) {
-			b1 := profEncodeRun(t, tc.cfg, tc.img, tc.params)
-			b2 := profEncodeRun(t, tc.cfg, tc.img, tc.params)
+			cfg := tc.cfg
+			cfg.ProfilePeriod = 10_000
+			b1, b2 := obsRun(t, cfg, tc), obsRun(t, cfg, tc)
 			if !bytes.Equal(b1, b2) {
 				t.Fatalf("two profiled runs encode differently (%d vs %d bytes)", len(b1), len(b2))
 			}
-			d, err := prof.Decode(b1)
+			f, err := obs.Decode(b1)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
+			d := f.Prof
 			if d.TotalSamples() == 0 {
 				t.Fatal("profiled run recorded zero samples")
 			}

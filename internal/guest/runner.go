@@ -5,6 +5,7 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
+	"nova/internal/obs"
 	"nova/internal/prof"
 	"nova/internal/services"
 	"nova/internal/span"
@@ -293,39 +294,15 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 // profiler.
 const profileCapacity = 65536
 
-// EncodeProfile captures code bytes at the topN hottest addresses and
-// serializes the profile. Call it after the run finishes.
-func (r *Runner) EncodeProfile(topN int) ([]byte, error) {
-	if r.Prof == nil {
-		return nil, fmt.Errorf("guest: no profiler attached (set ProfilePeriod)")
-	}
+// EncodeObs collects every recorder attached to the run into one
+// NOVAOBS1 file (see internal/obs), capturing the code bytes at the
+// profile's hottest addresses and snapshotting the stat registry at the
+// current virtual time. Call it after the run finishes.
+func (r *Runner) EncodeObs() ([]byte, error) {
 	if r.BM != nil {
-		read := r.BM.ProfCodeReader()
-		r.Prof.CaptureCode(topN, read)
-	} else if v := r.VMM; v != nil {
-		read := r.K.ProfCodeReader(v.EC)
-		r.Prof.CaptureCode(topN, read)
+		return obs.FromBareMetal(r.BM).Encode()
 	}
-	return r.Prof.Encode()
-}
-
-// EncodeStats snapshots the resource-accounting registry at the
-// current virtual time and serializes it. Call it after the run
-// finishes.
-func (r *Runner) EncodeStats() ([]byte, error) {
-	if r.Stat == nil {
-		return nil, fmt.Errorf("guest: no stat registry attached (set StatEpoch)")
-	}
-	return r.Stat.Snapshot(r.Clock().Now()).Encode()
-}
-
-// EncodeSpans serializes the recorded request spans. Call it after the
-// run finishes.
-func (r *Runner) EncodeSpans() ([]byte, error) {
-	if r.Spans == nil {
-		return nil, fmt.Errorf("guest: no span recorder attached (set SpanCapacity)")
-	}
-	return r.Spans.Encode()
+	return obs.FromKernel(r.K, r.VMM.EC).Encode()
 }
 
 // NICVector is the guest interrupt vector of the passthrough NIC

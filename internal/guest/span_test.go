@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/obs"
 	"nova/internal/span"
 )
 
@@ -22,7 +23,7 @@ func spanRun(t *testing.T) []byte {
 	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	b, err := r.EncodeSpans()
+	b, err := r.EncodeObs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +35,16 @@ func spanRun(t *testing.T) []byte {
 // once even though its completion crosses the vAHCI IRQ
 // recall/injection boundary, carries a guest segment (proving the span
 // stayed open across the injection), and its per-segment durations sum
-// exactly to the end-to-end latency. Also checks double-run
+// exactly to the end-to-end latency, with the host disk's service time
+// in its own device segment. Also checks double-run
 // byte-identity of the encoded span file.
 func TestSpanDiskDecomposition(t *testing.T) {
 	b := spanRun(t)
-	d, err := span.Decode(b)
+	f, err := obs.Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := f.Span
 	if d.Summary.Opened == 0 || d.Summary.Opened != d.Summary.Closed {
 		t.Fatalf("summary opened=%d closed=%d, want equal and nonzero", d.Summary.Opened, d.Summary.Closed)
 	}
@@ -62,7 +65,7 @@ func TestSpanDiskDecomposition(t *testing.T) {
 		}
 	}
 
-	spans := span.BuildSpans(d)
+	spans := span.BuildSpans(d.Events())
 	var disk, withGuest int
 	for _, s := range spans {
 		if !s.Closed {
@@ -78,6 +81,9 @@ func TestSpanDiskDecomposition(t *testing.T) {
 		}
 		if s.Class == span.ClassDisk {
 			disk++
+			if s.Segs[span.SegDevice] <= 0 {
+				t.Errorf("disk span %d spent %d cycles at the device", uint64(s.ID), s.Segs[span.SegDevice])
+			}
 			for _, p := range s.Path {
 				if p.Seg == span.SegGuest {
 					withGuest++

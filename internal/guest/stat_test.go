@@ -5,29 +5,9 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/obs"
 	"nova/internal/stat"
 )
-
-// statRun boots one workload with accounting on and returns the encoded
-// snapshot.
-func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte {
-	t.Helper()
-	cfg.StatEpoch = 250_000
-	r, err := NewRunner(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Chunk = 100_000
-	writeParams(r, params...)
-	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	b, err := r.EncodeStats()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	return b
-}
 
 // TestStatsDoubleRunByteIdentity runs each workload twice with
 // accounting on and requires the two encoded snapshots to be
@@ -36,15 +16,17 @@ func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte
 func TestStatsDoubleRunByteIdentity(t *testing.T) {
 	for _, tc := range abWorkloads() {
 		t.Run(tc.name, func(t *testing.T) {
-			b1 := statRun(t, tc.cfg, tc.img, tc.params)
-			b2 := statRun(t, tc.cfg, tc.img, tc.params)
+			cfg := tc.cfg
+			cfg.StatEpoch = 250_000
+			b1, b2 := obsRun(t, cfg, tc), obsRun(t, cfg, tc)
 			if !bytes.Equal(b1, b2) {
 				t.Fatalf("two identical runs encoded different snapshots (%d vs %d bytes)", len(b1), len(b2))
 			}
-			d, err := stat.Decode(b1)
+			f, err := obs.Decode(b1)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
+			d := f.Stat
 			if len(d.Metrics) == 0 {
 				t.Fatal("snapshot has no metrics")
 			}

@@ -8,6 +8,7 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/trace"
+	"nova/internal/x86"
 )
 
 // tinyTraceKernel is a minimal EPT guest for the golden-trace test: two
@@ -52,7 +53,7 @@ func TestTraceGoldenSequence(t *testing.T) {
 		s := e.Kind.String()
 		switch e.Kind {
 		case trace.KindVMExit, trace.KindVMResume:
-			s += ":" + x86ExitName(r, e.A0)
+			s += ":" + x86.ExitReason(e.A0).String()
 		case trace.KindPIO:
 			s += fmt.Sprintf(":%#x=%#x", e.A0, e.A2)
 		}
@@ -100,20 +101,12 @@ func TestTraceGoldenSequence(t *testing.T) {
 	}
 }
 
-func x86ExitName(r *Runner, reason uint64) string {
-	names := r.Tracer.Meta.ExitReasons
-	if int(reason) < len(names) {
-		return names[reason]
-	}
-	return fmt.Sprintf("reason-%d", reason)
-}
-
 // TestTracedRunsByteIdentical runs the same guest twice and requires
 // the two serialized traces to be equal byte for byte — the strongest
 // determinism statement the tracer makes.
 func TestTracedRunsByteIdentical(t *testing.T) {
 	enc := func() []byte {
-		b, err := tinyTraceRun(t, 4096).Tracer.Encode()
+		b, err := tinyTraceRun(t, 4096).Tracer.Data().MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

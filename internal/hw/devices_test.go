@@ -2,6 +2,7 @@ package hw
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -515,5 +516,35 @@ func TestPlatformInterruptHook(t *testing.T) {
 	p.PIC.RaiseIRQ(IRQAHCI)
 	if hooked == 0 {
 		t.Error("interrupt hook not invoked")
+	}
+}
+
+// TestPCIFunctionsInDeviceOrder checks that enumeration returns the
+// functions in DeviceID order whatever the registration order, that
+// re-adding an address replaces its function, and that config reads
+// still find every function.
+func TestPCIFunctionsInDeviceOrder(t *testing.T) {
+	b := NewPCIBus()
+	devs := []DeviceID{BDF(0, 3, 0), BDF(0, 1, 0), BDF(1, 0, 0), BDF(0, 1, 2), BDF(0, 0, 0)}
+	for i, d := range devs {
+		b.Add(&PCIFunction{Dev: d, VendorID: 0x8086, DeviceID: uint16(i)})
+	}
+	b.Add(&PCIFunction{Dev: BDF(0, 1, 0), VendorID: 0x1234, DeviceID: 99})
+	var got []DeviceID
+	for _, f := range b.Functions() {
+		got = append(got, f.Dev)
+	}
+	want := []DeviceID{BDF(0, 0, 0), BDF(0, 1, 0), BDF(0, 1, 2), BDF(0, 3, 0), BDF(1, 0, 0)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Functions order %v, want %v", got, want)
+	}
+	for _, f := range b.Functions() {
+		b.PortWrite(0xcf8, 4, 0x80000000|uint32(f.Dev)<<8)
+		if id := b.PortRead(0xcfc, 4); id != uint32(f.DeviceID)<<16|uint32(f.VendorID) {
+			t.Errorf("%v: config id %#x", f.Dev, id)
+		}
+	}
+	if f := b.Functions()[1]; f.VendorID != 0x1234 {
+		t.Errorf("re-added function not replaced: %+v", f)
 	}
 }

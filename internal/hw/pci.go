@@ -1,5 +1,10 @@
 package hw
 
+import (
+	"slices"
+	"sort"
+)
+
 // PCIFunction describes one discoverable PCI function for config-space
 // enumeration.
 type PCIFunction struct {
@@ -15,24 +20,31 @@ type PCIFunction struct {
 // static set of functions. It exists so drivers discover devices the same
 // way they would on hardware; it does not model bridges or reassignment.
 type PCIBus struct {
-	fns  map[DeviceID]*PCIFunction
-	addr uint32 // last value written to CONFIG_ADDRESS
+	fns  []*PCIFunction // sorted by Dev
+	addr uint32         // last value written to CONFIG_ADDRESS
 }
 
 // NewPCIBus returns an empty bus.
-func NewPCIBus() *PCIBus { return &PCIBus{fns: make(map[DeviceID]*PCIFunction)} }
+func NewPCIBus() *PCIBus { return &PCIBus{} }
 
-// Add registers a function.
-func (b *PCIBus) Add(f *PCIFunction) { b.fns[f.Dev] = f }
-
-// Functions returns all registered functions.
-func (b *PCIBus) Functions() []*PCIFunction {
-	out := make([]*PCIFunction, 0, len(b.fns))
-	for _, f := range b.fns {
-		out = append(out, f)
-	}
-	return out
+// find returns the index of dev in b.fns, or where it would be inserted.
+func (b *PCIBus) find(dev DeviceID) (int, bool) {
+	i := sort.Search(len(b.fns), func(i int) bool { return b.fns[i].Dev >= dev })
+	return i, i < len(b.fns) && b.fns[i].Dev == dev
 }
+
+// Add registers a function, replacing one already at its address.
+func (b *PCIBus) Add(f *PCIFunction) {
+	i, ok := b.find(f.Dev)
+	if !ok {
+		b.fns = slices.Insert(b.fns, i, nil)
+	}
+	b.fns[i] = f
+}
+
+// Functions returns all registered functions in DeviceID order, the
+// order of a bus/device/function enumeration scan.
+func (b *PCIBus) Functions() []*PCIFunction { return slices.Clone(b.fns) }
 
 // PortRead implements IOPortHandler for 0xCF8-0xCFF.
 func (b *PCIBus) PortRead(port uint16, size int) uint32 {
@@ -45,11 +57,11 @@ func (b *PCIBus) PortRead(port uint16, size int) uint32 {
 		}
 		dev := DeviceID(b.addr >> 8 & 0xffff)
 		reg := b.addr & 0xfc
-		f, ok := b.fns[dev]
+		i, ok := b.find(dev)
 		if !ok {
 			return 0xffffffff
 		}
-		v := b.configRead(f, reg)
+		v := b.configRead(b.fns[i], reg)
 		shift := (uint32(port) & 3) * 8
 		return v >> shift
 	}

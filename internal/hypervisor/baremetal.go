@@ -42,9 +42,7 @@ type BareMetal struct {
 // nocharge: observability plumbing; attaching the profiler models no
 // hardware work and must not move the clock (zero-perturbation rule).
 func (b *BareMetal) AttachProfiler(period uint64, capacity int) *prof.Profiler {
-	cost := b.Plat.Cost
-	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
-	b.Prof = prof.New(meta, len(b.Plat.CPUs), period, capacity)
+	b.Prof = prof.New(len(b.Plat.CPUs), period, capacity)
 	b.profRead = profGuestReader(b.Plat.Mem, nil, &b.State)
 	return b.Prof
 }
@@ -56,16 +54,10 @@ func (b *BareMetal) AttachProfiler(period uint64, capacity int) *prof.Profiler {
 // nocharge: observability plumbing; attaching the registry models no
 // hardware work and must not move the clock (zero-perturbation rule).
 func (b *BareMetal) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	cost := b.Plat.Cost
-	r := stat.New(stat.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-		NumCPUs: len(b.Plat.CPUs),
-	}, epochLen)
+	r := stat.New(epochLen)
 	b.Stat = r
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", "native", "vcpu", "0"),
 		func() uint64 { return b.Interp.InstRet })
-	statSuperblocks(r, b.Interp, "native", "0")
 	statDevices(r, b.Plat)
 	return r
 }

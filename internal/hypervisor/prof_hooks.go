@@ -185,9 +185,7 @@ func (k *Kernel) ProfEmulate(rip uint32, def32 bool, cycles hw.Cycles) {
 // nocharge: observability plumbing; attaching the profiler models no
 // hardware work and must not move the clocks (zero-perturbation rule).
 func (k *Kernel) AttachProfiler(period uint64, capacity int) *prof.Profiler {
-	cost := k.Plat.Cost
-	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
-	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, capacity)
+	k.Prof = prof.New(len(k.Plat.CPUs), period, capacity)
 	k.observed = true
 	return k.Prof
 }

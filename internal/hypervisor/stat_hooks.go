@@ -108,37 +108,6 @@ func (k *Kernel) attachStatEC(ec *EC) {
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", vm, "vcpu", vcpu), func() uint64 {
 		return v.Interp.InstRet
 	})
-	statSuperblocks(r, v.Interp, vm, vcpu)
-}
-
-// statSuperblocks registers the superblock-layer samplers for one
-// interpreter: blocks built, fused executions and instructions,
-// invalidations, and the single-step fallbacks by cause. These are
-// host-side counters (the fused path is invisible to the simulation);
-// they quantify how much of the instruction stream executes fused, so
-// the next interpreter hotspot is measurable.
-func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
-	c := ip.Cache
-	if c == nil {
-		return
-	}
-	sb := &c.SB
-	for _, s := range []struct {
-		name string
-		v    *uint64
-	}{
-		{"interp_sb_built", &sb.Built},
-		{"interp_sb_hits", &sb.Hits},
-		{"interp_sb_fused_insts", &sb.Fused},
-		{"interp_sb_invalidated", &sb.Invalidated},
-		{"interp_sb_cut_pending", &sb.CutPending},
-		{"interp_sb_cut_clamp", &sb.CutClamp},
-		{"interp_sb_cut_short", &sb.CutShort},
-		{"interp_sb_cut_slow", &sb.CutSlow},
-	} {
-		v := s.v
-		r.RegisterSampler(stat.Name(s.name, "vm", vm, "vcpu", vcpu), func() uint64 { return *v })
-	}
 }
 
 // statEvent derives the registry's kernel series from one event's
@@ -240,12 +209,7 @@ func statDevices(r *stat.Registry, plat *hw.Platform) {
 // nocharge: observability plumbing; attaching the registry models no
 // hardware work and must not move the clocks (zero-perturbation rule).
 func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	cost := k.Plat.Cost
-	r := stat.New(stat.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-		NumCPUs: len(k.Plat.CPUs),
-	}, epochLen)
+	r := stat.New(epochLen)
 	k.Stat = r
 	k.observed = true
 	k.statIPCLatency = r.Histogram("kernel_ipc_latency_cycles")

@@ -3,19 +3,11 @@ package prof
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"nova/internal/hw"
 	"nova/internal/trace"
 )
-
-// magic identifies a serialized profile (version 1). The file layout
-// mirrors NOVATRC1: magic, then length-prefixed sections using the
-// trace package's shared framing.
-const magic = "NOVAPRF1"
 
 // recHdrSize is the fixed prefix of one sample record:
 // time(8) + weight(8) + mode(1) + def32(1) + nframes(1).
@@ -25,23 +17,16 @@ const recHdrSize = 8 + 8 + 1 + 1 + 1
 // kind(1) + def32(1) + rip(4) + count(8) + cycles(8).
 const attribEntrySize = 1 + 1 + 4 + 8 + 8
 
-// WriteTo serializes the profile: magic, meta JSON, per-CPU sample
-// buffers, attribution table, code sites. Every section is
-// deterministic — struct-based JSON, fixed little-endian records, and
-// pre-sorted attribution keys — so two runs from identical inputs
-// serialize to identical bytes.
-func (d *Data) WriteTo(w io.Writer) (int64, error) {
-	if d == nil {
-		return 0, fmt.Errorf("prof: nil profile")
-	}
+// MarshalBinary encodes the prof section of a NOVAOBS1 file: the meta
+// JSON, then the per-CPU sample buffers, the attribution table and the
+// code sites, each as one length-prefixed section. Struct-based JSON,
+// fixed little-endian records and pre-sorted attribution keys make two
+// runs from identical inputs encode to identical bytes.
+func (d *Data) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(magic)
-
-	metaJSON, err := json.Marshal(d.Meta)
-	if err != nil {
-		return 0, err
+	if err := trace.WriteJSON(&buf, d.Meta); err != nil {
+		return nil, err
 	}
-	trace.WriteSection(&buf, metaJSON)
 
 	var samples bytes.Buffer
 	var tmp [8]byte
@@ -106,9 +91,7 @@ func (d *Data) WriteTo(w io.Writer) (int64, error) {
 		code.Write(c.Bytes[:n])
 	}
 	trace.WriteSection(&buf, code.Bytes())
-
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
+	return buf.Bytes(), nil
 }
 
 func b2u(b bool) uint8 {
@@ -118,78 +101,38 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// Encode returns the serialized profile as a byte slice.
-func (d *Data) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Hash returns the FNV-64a hash of the serialized profile. The
-// byte-identity regression test compares this across runs.
-func (d *Data) Hash() uint64 {
-	b, err := d.Encode()
+// UnmarshalBinary decodes a prof section written by MarshalBinary.
+func (d *Data) UnmarshalBinary(b []byte) error {
+	*d = Data{}
+	b, err := trace.ReadJSON(b, &d.Meta)
 	if err != nil {
-		return 0
+		return fmt.Errorf("prof: meta: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// Encode serializes the live profiler (convenience for runners).
-func (p *Profiler) Encode() ([]byte, error) {
-	if p == nil {
-		return nil, fmt.Errorf("prof: nil profiler")
-	}
-	return p.Data().Encode()
-}
-
-// Decode parses a serialized profile.
-func Decode(b []byte) (*Data, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("prof: bad magic (not a nova profile file)")
-	}
-	b = b[len(magic):]
-
-	metaJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: meta: %w", err)
-	}
-	d := &Data{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("prof: meta: %w", err)
-	}
-
-	samples, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: samples: %w", err)
-	}
-	if err := d.decodeSamples(samples); err != nil {
-		return nil, err
-	}
-
-	attrib, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: attrib: %w", err)
-	}
-	if err := d.decodeAttrib(attrib); err != nil {
-		return nil, err
-	}
-
-	code, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: code: %w", err)
-	}
-	if err := d.decodeCode(code); err != nil {
-		return nil, err
+	for _, part := range []struct {
+		name   string
+		decode func([]byte) error
+	}{{"samples", d.decodeSamples}, {"attrib", d.decodeAttrib}, {"code", d.decodeCode}} {
+		var body []byte
+		if body, b, err = trace.ReadSection(b); err != nil {
+			return fmt.Errorf("prof: %s: %w", part.name, err)
+		}
+		if err := part.decode(body); err != nil {
+			return err
+		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("prof: %d trailing bytes", len(b))
+		return fmt.Errorf("prof: %d trailing bytes", len(b))
 	}
-	return d, nil
+	return nil
+}
+
+// u2b decodes a flag byte; anything but 0 or 1 would not re-encode to
+// the same byte.
+func u2b(v uint8) (bool, error) {
+	if v > 1 {
+		return false, fmt.Errorf("prof: bad flag byte %#x", v)
+	}
+	return v == 1, nil
 }
 
 func (d *Data) decodeSamples(b []byte) error {
@@ -198,7 +141,7 @@ func (d *Data) decodeSamples(b []byte) error {
 	}
 	cpus := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if cpus < 0 || cpus > 1<<16 {
+	if cpus > len(b)/12 {
 		return fmt.Errorf("prof: implausible CPU count %d", cpus)
 	}
 	for cpu := 0; cpu < cpus; cpu++ {
@@ -208,7 +151,7 @@ func (d *Data) decodeSamples(b []byte) error {
 		count := int(binary.LittleEndian.Uint32(b))
 		over := binary.LittleEndian.Uint64(b[4:])
 		b = b[12:]
-		if count < 0 || count > 1<<28 {
+		if count > len(b)/recHdrSize {
 			return fmt.Errorf("prof: implausible sample count %d (cpu %d)", count, cpu)
 		}
 		per := make([]Sample, 0, count)
@@ -216,11 +159,15 @@ func (d *Data) decodeSamples(b []byte) error {
 			if len(b) < recHdrSize {
 				return fmt.Errorf("prof: truncated sample (cpu %d)", cpu)
 			}
+			def32, err := u2b(b[17])
+			if err != nil {
+				return err
+			}
 			s := Sample{
 				Time:   hw.Cycles(binary.LittleEndian.Uint64(b[0:])),
 				Weight: binary.LittleEndian.Uint64(b[8:]),
 				Mode:   Mode(b[16]),
-				Def32:  b[17] != 0,
+				Def32:  def32,
 			}
 			nf := int(b[18])
 			b = b[recHdrSize:]
@@ -248,14 +195,18 @@ func (d *Data) decodeAttrib(b []byte) error {
 	}
 	count := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if count < 0 || len(b) != count*attribEntrySize {
+	if len(b) != count*attribEntrySize {
 		return fmt.Errorf("prof: malformed attrib table")
 	}
 	for i := 0; i < count; i++ {
 		rec := b[i*attribEntrySize:]
+		def32, err := u2b(rec[1])
+		if err != nil {
+			return err
+		}
 		d.Attrib = append(d.Attrib, AttribEntry{
 			Kind:   AttribKind(rec[0]),
-			Def32:  rec[1] != 0,
+			Def32:  def32,
 			RIP:    binary.LittleEndian.Uint32(rec[2:]),
 			Count:  binary.LittleEndian.Uint64(rec[6:]),
 			Cycles: binary.LittleEndian.Uint64(rec[14:]),
@@ -270,21 +221,25 @@ func (d *Data) decodeCode(b []byte) error {
 	}
 	count := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if count < 0 || count > 1<<20 {
+	if count > len(b)/6 {
 		return fmt.Errorf("prof: implausible code-site count %d", count)
 	}
 	for i := 0; i < count; i++ {
 		if len(b) < 6 {
 			return fmt.Errorf("prof: truncated code site")
 		}
+		def32, err := u2b(b[4])
+		if err != nil {
+			return err
+		}
 		site := CodeSite{
 			Addr:  binary.LittleEndian.Uint32(b[0:]),
-			Def32: b[4] != 0,
+			Def32: def32,
 		}
 		n := int(b[5])
 		b = b[6:]
-		if n > maxInstBytes || len(b) < n {
-			return fmt.Errorf("prof: truncated code bytes")
+		if n == 0 || n > maxInstBytes || len(b) < n {
+			return fmt.Errorf("prof: bad code-site length %d", n)
 		}
 		site.Bytes = append(site.Bytes, b[:n]...)
 		b = b[n:]

@@ -1,6 +1,6 @@
 // Package prof is the virtual-time sampling profiler of the simulation:
-// where nova-trace answers "which virtualization events happened",
-// nova-prof answers "which guest code is paying for them".
+// where the tracer answers "which virtualization events happened",
+// the profiler answers "which guest code is paying for them".
 //
 // The profiler is driven entirely by the virtual clock. Every Period
 // cycles of virtual time a sample of (guest RIP, CS default size,
@@ -97,11 +97,9 @@ func (k AttribKind) String() string {
 	return "attrib?"
 }
 
-// Meta describes the run that produced a profile.
+// Meta describes the profiler's configuration; the machine it ran on
+// is in the NOVAOBS1 run header.
 type Meta struct {
-	Model   string `json:"model"`
-	FreqMHz int    `json:"freq_mhz"`
-	NumCPUs int    `json:"num_cpus"`
 	// Period is the sampling grid spacing in virtual cycles.
 	Period uint64 `json:"period_cycles"`
 	// Capacity is the per-CPU sample-buffer capacity.
@@ -213,15 +211,11 @@ type Profiler struct {
 
 // New creates a profiler sampling every period cycles with one buffer
 // of the given capacity per CPU.
-func New(meta Meta, cpus int, period uint64, capacity int) *Profiler {
+func New(cpus int, period uint64, capacity int) *Profiler {
 	if period == 0 {
 		period = 10_000
 	}
-	p := &Profiler{Meta: meta}
-	p.Meta.NumCPUs = cpus
-	p.Meta.Period = period
-	p.Meta.Capacity = capacity
-	p.Meta.ModeNames = ModeNames()
+	p := &Profiler{Meta: Meta{Period: period, Capacity: capacity, ModeNames: ModeNames()}}
 	for i := 0; i < cpus; i++ {
 		p.bufs = append(p.bufs, newBuf(capacity))
 		p.next = append(p.next, 0)
@@ -302,21 +296,6 @@ func (p *Profiler) Attribute(kind AttribKind, rip uint32, def32 bool, cycles uin
 		return
 	}
 	p.attrib.add(attribKey(kind, rip, def32), cycles)
-}
-
-// TotalSamples returns the number of grid points recorded so far
-// (the sum of live sample weights across CPUs).
-func (p *Profiler) TotalSamples() uint64 {
-	if p == nil {
-		return 0
-	}
-	var total uint64
-	for _, b := range p.bufs {
-		for _, r := range b.recs() {
-			total += r.weight
-		}
-	}
-	return total
 }
 
 // attribKey packs (kind, def32, rip) into one ordered key.

@@ -3,15 +3,14 @@ package prof
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nova/internal/hw"
 )
 
-func testMeta() Meta { return Meta{Model: "TEST", FreqMHz: 1000} }
-
 func TestTickGridAndWeights(t *testing.T) {
-	p := New(testMeta(), 1, 100, 16)
+	p := New(1, 100, 16)
 	g := GuestCtx{RIP: 0x1000}
 
 	// First observation anchors the grid at now+period; nothing records.
@@ -36,7 +35,7 @@ func TestTickGridAndWeights(t *testing.T) {
 	if recs[0].weight != 1 || recs[1].weight != 3 {
 		t.Fatalf("weights = %d, %d, want 1, 3", recs[0].weight, recs[1].weight)
 	}
-	if got := p.TotalSamples(); got != 4 {
+	if got := p.Data().TotalSamples(); got != 4 {
 		t.Fatalf("TotalSamples = %d, want 4", got)
 	}
 	// The grid stays aligned: next should be 550, so 549 records nothing.
@@ -47,7 +46,7 @@ func TestTickGridAndWeights(t *testing.T) {
 }
 
 func TestSkipIdleAdvancesWithoutRecording(t *testing.T) {
-	p := New(testMeta(), 1, 100, 16)
+	p := New(1, 100, 16)
 	p.Tick(0, 0, ModeGuest, GuestCtx{RIP: 1}) // anchor; next = 100
 	p.SkipIdle(0, 1000)                       // crosses many grid points
 	if n := p.bufs[0].Len(); n != 0 {
@@ -70,16 +69,13 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	p.SkipIdle(0, 100)
 	p.Attribute(AttribExit, 0, false, 1)
 	p.CaptureCode(4, func(uint32) (byte, bool) { return 0, false })
-	if p.TotalSamples() != 0 {
-		t.Fatal("nil profiler reported samples")
-	}
 	if d := p.Data(); len(d.Samples) != 0 {
 		t.Fatal("nil profiler produced sample data")
 	}
 }
 
 func TestBufOverwrite(t *testing.T) {
-	p := New(testMeta(), 1, 10, 4)
+	p := New(1, 10, 4)
 	p.Tick(0, 0, ModeGuest, GuestCtx{}) // anchor
 	for i := 1; i <= 7; i++ {
 		p.Tick(0, hw.Cycles(i*10), ModeGuest, GuestCtx{RIP: uint32(i)})
@@ -98,7 +94,7 @@ func TestBufOverwrite(t *testing.T) {
 }
 
 func TestAttribSetSortedAggregation(t *testing.T) {
-	p := New(testMeta(), 1, 10, 4)
+	p := New(1, 10, 4)
 	// Insert out of order, with one repeat.
 	p.Attribute(AttribVTLBFill, 0x300, false, 7)
 	p.Attribute(AttribExit, 0x200, true, 5)
@@ -120,7 +116,7 @@ func TestAttribSetSortedAggregation(t *testing.T) {
 // and captured code, exercising every section of the encoding.
 func populated(t *testing.T) *Profiler {
 	t.Helper()
-	p := New(testMeta(), 2, 100, 8)
+	p := New(2, 100, 8)
 	stack := map[uint32]uint32{0x1000: 0, 0x1004: 0x8010}
 	read := func(va uint32) (uint32, bool) { v, ok := stack[va]; return v, ok }
 	for cpu := 0; cpu < 2; cpu++ {
@@ -145,26 +141,26 @@ func populated(t *testing.T) *Profiler {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	p := populated(t)
-	b, err := p.Encode()
+	b, err := p.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decode(b)
-	if err != nil {
+	var d Data
+	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d, p.Data()) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", d, p.Data())
+	if !reflect.DeepEqual(&d, p.Data()) {
+		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", &d, p.Data())
 	}
 }
 
 func TestEncodeByteIdentity(t *testing.T) {
 	p := populated(t)
-	b1, err := p.Encode()
+	b1, err := p.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := p.Encode()
+	b2, err := p.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,18 +171,26 @@ func TestEncodeByteIdentity(t *testing.T) {
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	p := populated(t)
-	b, err := p.Encode()
+	b, err := p.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(b[:len(b)-1]); err == nil {
+	var d Data
+	if err := d.UnmarshalBinary(b[:len(b)-1]); err == nil {
 		t.Error("truncated profile decoded")
 	}
-	if _, err := Decode([]byte("NOVAPRF9")); err == nil {
-		t.Error("bad magic decoded")
+	if err := d.UnmarshalBinary(append(append([]byte{}, b...), 0)); err == nil {
+		t.Error("trailing bytes decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if err := d.UnmarshalBinary(nil); err == nil {
 		t.Error("empty profile decoded")
+	}
+	// A flag byte other than 0 or 1 would not re-encode to itself.
+	bad := append([]byte{}, b...)
+	code := p.Data().Code
+	bad[len(bad)-len(code[len(code)-1].Bytes)-2] = 2 // the last code site's def32
+	if err := d.UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "flag") {
+		t.Error("flag byte 2 decoded")
 	}
 }
 

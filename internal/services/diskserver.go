@@ -390,6 +390,9 @@ func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.I
 	ds.inflight[slot] = &pendingReq{client: cl, req: req, span: sp}
 	ds.K.Emit(trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot))
 	ds.mmioWrite(portCI, 1<<uint(slot))
+	// The controller scheduled the command on the disk as the doorbell
+	// write landed: the disk is busy until this request completes.
+	ds.K.Spans.Annotate(ds.K.CurCPU(), ds.K.Now(), sp, span.AnnotDeviceDone, uint64(ds.K.Plat.AHCI.Disk().BusyUntil))
 }
 
 // handleIRQ is the interrupt EC body (Figure 4, steps 6-7): it drains

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"nova/internal/hw"
+	"nova/internal/trace"
 )
 
 // PathSeg is one hop of a span's critical path: the span was in Seg
@@ -44,21 +45,23 @@ type Span struct {
 	Path  []PathSeg      `json:"path,omitempty"`
 	Annot []Annot        `json:"annot,omitempty"`
 
-	lastSeg  Seg
-	lastTime hw.Cycles
-	hasSeg   bool
+	lastSeg    Seg
+	lastTime   hw.Cycles
+	hasSeg     bool
+	deviceDone hw.Cycles // AnnotDeviceDone, when recorded
 }
 
 // Duration returns the end-to-end latency of a closed span.
 func (s *Span) Duration() uint64 { return uint64(s.End - s.Open) }
 
-// BuildSpans reconstructs spans from a decoded span file, in span-ID
+// BuildSpans reconstructs spans from span records merged in the
+// (time, CPU, seq) order (Data.Events or Recorder.Events), in span-ID
 // order. Spans whose open record was overwritten by a wrapped ring are
 // dropped (their decomposition would be incomplete).
-func BuildSpans(d *Data) []*Span {
+func BuildSpans(events []trace.Event) []*Span {
 	byID := map[ID]*Span{} // lookup index only; iteration uses the slice
 	var spans []*Span
-	for _, e := range d.Events() {
+	for _, e := range events {
 		id := ID(e.A0)
 		k := Kind(e.Kind)
 		if k == KindOpen {
@@ -79,6 +82,9 @@ func BuildSpans(d *Data) []*Span {
 			s.mark(e.Time, Seg(e.A1))
 		case KindAnnotate:
 			s.Annot = append(s.Annot, Annot{Key: e.A1, Val: e.A2})
+			if e.A1 == AnnotDeviceDone {
+				s.deviceDone = hw.Cycles(e.A2)
+			}
 		case KindClose:
 			s.closeAt(e.Time, e.A1)
 		}
@@ -101,11 +107,24 @@ func (s *Span) mark(now hw.Cycles, seg Seg) {
 	s.lastSeg, s.lastTime, s.hasSeg = seg, now, true
 }
 
-// flush adds the time since the last mark to the current segment.
+// flush adds the time since the last mark to the current segment. A
+// device segment ends at the device's completion time: the time after
+// it, until now, is queueing.
 func (s *Span) flush(now hw.Cycles) {
 	if !s.hasSeg {
 		return
 	}
+	if s.lastSeg == SegDevice && s.deviceDone > s.lastTime && s.deviceDone < now {
+		s.add(s.deviceDone)
+		s.Path = append(s.Path, PathSeg{Seg: SegQueue, Name: SegQueue.String(), Start: s.deviceDone})
+		s.lastSeg = SegQueue
+	}
+	s.add(now)
+}
+
+// add accumulates the time since the last mark into the current
+// segment.
+func (s *Span) add(now hw.Cycles) {
 	d := int64(now) - int64(s.lastTime)
 	s.Segs[s.lastSeg] += d
 	if len(s.Path) > 0 && s.Path[len(s.Path)-1].Seg == s.lastSeg {
@@ -163,7 +182,7 @@ type ClassReport struct {
 	Segs []SegTotal `json:"segs,omitempty"`
 }
 
-// Report is the nova-span report: per-class latency tails and
+// Report is the span report: per-class latency tails and
 // critical-path decomposition.
 type Report struct {
 	FreqMHz int           `json:"freq_mhz"`
@@ -190,9 +209,10 @@ func Percentile(sorted []uint64, q float64) uint64 {
 	return sorted[rank-1]
 }
 
-// BuildReport aggregates reconstructed spans into the per-class report.
-func BuildReport(d *Data, spans []*Span) *Report {
-	rep := &Report{FreqMHz: d.Meta.FreqMHz, Opened: d.Summary.Opened, Closed: d.Summary.Closed}
+// BuildReport aggregates reconstructed spans into the per-class report
+// of a run clocked at freqMHz.
+func BuildReport(d *Data, spans []*Span, freqMHz int) *Report {
+	rep := &Report{FreqMHz: freqMHz, Opened: d.Summary.Opened, Closed: d.Summary.Closed}
 	var durs [NumClasses][]uint64
 	var segs [NumClasses][NumSegs]int64
 	var open, failed [NumClasses]int

@@ -18,7 +18,7 @@
 // from the per-CPU clocks; events land in the same fixed-capacity
 // per-CPU rings the tracer uses (trace.Ring), with record-granular
 // overwrite accounting. The nova-vet `tracepure` analyzer covers this
-// package; the CI span-on/off step proves bit-identity end to end.
+// package; the CI on/off step proves bit-identity end to end.
 package span
 
 import (
@@ -67,7 +67,7 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// ClassNames returns the class-name table in class order (for Meta).
+// ClassNames returns the class-name table in class order.
 func ClassNames() []string {
 	names := make([]string, NumClasses)
 	copy(names, classNames[:])
@@ -94,9 +94,14 @@ const (
 	// SegServer: user-level server work — request validation and host
 	// controller programming, interrupt-EC completion harvesting.
 	SegServer
-	// SegQueue: queueing — the request is in flight at the host device,
-	// or a completion waits for its doorbell EC to be dispatched.
+	// SegQueue: queueing — the host device has finished the request but
+	// the server has not harvested it yet, or a completion waits for
+	// its doorbell EC to be dispatched.
 	SegQueue
+	// SegDevice: the request is being serviced by the host device, from
+	// the vAHCI model's accept until the disk's scheduled completion
+	// time (AnnotDeviceDone).
+	SegDevice
 	// NumSegs sizes per-segment tables.
 	NumSegs
 )
@@ -107,6 +112,7 @@ var segNames = [NumSegs]string{
 	SegEmul:   "emulation",
 	SegServer: "server",
 	SegQueue:  "queueing",
+	SegDevice: "device",
 }
 
 func (s Seg) String() string {
@@ -116,7 +122,7 @@ func (s Seg) String() string {
 	return "seg?"
 }
 
-// SegNames returns the segment-name table in segment order (for Meta).
+// SegNames returns the segment-name table in segment order .
 func SegNames() []string {
 	names := make([]string, NumSegs)
 	copy(names, segNames[:])
@@ -160,7 +166,7 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// KindNames returns the kind-name table in kind order (for Meta).
+// KindNames returns the kind-name table in kind order .
 func KindNames() []string {
 	names := make([]string, NumKinds)
 	copy(names, kindNames[:])
@@ -186,19 +192,11 @@ const (
 	AnnotSectors uint64 = 2
 	AnnotBytes   uint64 = 3
 	AnnotVector  uint64 = 4
+	// AnnotDeviceDone is the host device's scheduled completion time of
+	// the request: BuildSpans ends its SegDevice segment there and counts
+	// the rest, up to the next transition, as SegQueue.
+	AnnotDeviceDone uint64 = 5
 )
-
-// Meta describes the run that produced a span file, mirroring
-// trace.Meta so span files are self-describing.
-type Meta struct {
-	Model        string   `json:"model"`
-	FreqMHz      int      `json:"freq_mhz"`
-	NumCPUs      int      `json:"num_cpus"`
-	RingCapacity int      `json:"ring_capacity"`
-	ClassNames   []string `json:"class_names"`
-	SegNames     []string `json:"seg_names"`
-	KindNames    []string `json:"kind_names"`
-}
 
 // active is one entry of a CPU's active-span stack: the span currently
 // being worked on by the code executing on that CPU, plus the segment
@@ -213,7 +211,6 @@ type active struct {
 // rings. All methods are nil-safe: a nil *Recorder means span tracing
 // is off and every call is a cheap no-op, exactly like trace.Tracer.
 type Recorder struct {
-	Meta  Meta
 	rings []*trace.Ring
 	cur   [][]active // per-CPU active-span stack
 	next  uint64     // last assigned span ID
@@ -224,13 +221,8 @@ type Recorder struct {
 }
 
 // New creates a recorder with one ring of the given capacity per CPU.
-func New(meta Meta, cpus, capacity int) *Recorder {
-	r := &Recorder{Meta: meta}
-	r.Meta.NumCPUs = cpus
-	r.Meta.RingCapacity = capacity
-	r.Meta.ClassNames = ClassNames()
-	r.Meta.SegNames = SegNames()
-	r.Meta.KindNames = KindNames()
+func New(cpus, capacity int) *Recorder {
+	r := &Recorder{}
 	for i := 0; i < cpus; i++ {
 		r.rings = append(r.rings, trace.NewRing(i, capacity))
 		r.cur = append(r.cur, nil)

@@ -2,6 +2,7 @@ package span
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -24,12 +25,12 @@ func TestNilSafety(t *testing.T) {
 	if r.Rings() != nil || r.Events() != nil {
 		t.Error("nil Rings/Events should return nil")
 	}
-	if _, err := r.Encode(); err == nil {
-		t.Error("nil Encode should error")
+	if d := r.Data(); len(d.PerCPU) != 0 || d.Summary.Opened != 0 {
+		t.Error("nil Data should be empty")
 	}
 
 	// ID 0 is a no-op on a live recorder.
-	live := New(Meta{Model: "test", FreqMHz: 1000}, 1, 16)
+	live := New(1, 16)
 	live.Transition(0, 10, 0, SegIPC)
 	live.Annotate(0, 10, 0, AnnotLBA, 1)
 	live.Close(0, 10, 0, StatusOK)
@@ -46,7 +47,7 @@ func TestNilSafety(t *testing.T) {
 // TestActiveStack checks the per-CPU current-span stack used by the
 // kernel portal path to find the enclosing request.
 func TestActiveStack(t *testing.T) {
-	r := New(Meta{}, 2, 16)
+	r := New(2, 16)
 	a := r.Open(0, 10, ClassDisk, SegEmul, 0)
 	r.Begin(0, a, SegEmul)
 	if id, seg := r.Current(0); id != a || seg != SegEmul {
@@ -74,7 +75,7 @@ func TestActiveStack(t *testing.T) {
 // durations sum exactly to close minus open, with zero-width hops
 // dropped and contiguous same-segment hops merged.
 func TestBuildSpansTelescoping(t *testing.T) {
-	r := New(Meta{Model: "test", FreqMHz: 2000}, 1, 64)
+	r := New(1, 64)
 	id := r.Open(0, 100, ClassDisk, SegEmul, 7)
 	r.Transition(0, 130, id, SegIPC)
 	r.Transition(0, 180, id, SegServer)
@@ -84,15 +85,7 @@ func TestBuildSpansTelescoping(t *testing.T) {
 	r.Transition(0, 520, id, SegGuest)
 	r.Close(0, 600, id, StatusOK)
 
-	b, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := BuildSpans(d)
+	spans := BuildSpans(r.Events())
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -165,52 +158,79 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip checks that Decode inverts Encode and that
-// encoding is deterministic.
+// TestEncodeDecodeRoundTrip checks that UnmarshalBinary inverts
+// MarshalBinary and that encoding is deterministic.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	r := New(Meta{Model: "test", FreqMHz: 2670}, 2, 32)
+	r := New(2, 32)
 	a := r.Open(0, 10, ClassDisk, SegEmul, 1)
 	b2 := r.Open(1, 15, ClassNetRX, SegServer, 64)
 	r.Annotate(1, 15, b2, AnnotBytes, 64)
 	r.Close(0, 50, a, StatusOK)
 	// b2 stays open: Summary must still count it as opened.
 
-	enc1, err := r.Encode()
+	enc1, err := r.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := r.Encode()
+	enc2, err := r.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc1, enc2) {
 		t.Error("two encodes of the same recorder differ")
 	}
-	d, err := Decode(enc1)
-	if err != nil {
+	var d Data
+	if err := d.UnmarshalBinary(enc1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Meta.Model != "test" || d.Meta.NumCPUs != 2 || d.Meta.RingCapacity != 32 {
-		t.Errorf("meta round-trip: %+v", d.Meta)
-	}
-	if d.Summary.Opened != 2 || d.Summary.Closed != 1 {
-		t.Errorf("summary = %+v, want opened=2 closed=1", d.Summary)
+	if d.Capacity != 32 || d.Summary.Opened != 2 || d.Summary.Closed != 1 {
+		t.Errorf("capacity %d, summary %+v, want 32, opened=2 closed=1", d.Capacity, d.Summary)
 	}
 	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 3 || len(d.PerCPU[1]) != 3 {
 		t.Fatalf("per-CPU record counts: %d/%d", len(d.PerCPU[0]), len(d.PerCPU[1]))
 	}
-	if r.Hash() == 0 || r.Hash() != r.Hash() {
-		t.Error("Hash should be stable and nonzero")
+	if enc3, err := d.MarshalBinary(); err != nil || !bytes.Equal(enc1, enc3) {
+		t.Error("decoded section re-encodes differently")
 	}
 
 	// Corrupt inputs are rejected, not misparsed.
-	if _, err := Decode(enc1[:len(enc1)-1]); err == nil {
-		t.Error("truncated file decoded")
+	if err := d.UnmarshalBinary(enc1[:len(enc1)-1]); err == nil {
+		t.Error("truncated section decoded")
 	}
-	if _, err := Decode([]byte("NOTSPANS")); err == nil {
-		t.Error("bad magic decoded")
-	}
-	if _, err := Decode(append(append([]byte{}, enc1...), 0)); err == nil {
+	if err := d.UnmarshalBinary(append(append([]byte{}, enc1...), 0)); err == nil {
 		t.Error("trailing bytes decoded")
+	}
+}
+
+// TestDeviceSegmentSplit checks that a device segment ends at the
+// annotated device completion time and the remainder up to the next
+// transition is queueing, with the segments still summing exactly to
+// the end-to-end latency.
+func TestDeviceSegmentSplit(t *testing.T) {
+	r := New(1, 64)
+	id := r.Open(0, 100, ClassDisk, SegEmul, 0)
+	r.Transition(0, 120, id, SegServer)
+	r.Annotate(0, 130, id, AnnotDeviceDone, 400)
+	r.Transition(0, 150, id, SegDevice)
+	r.Transition(0, 450, id, SegServer)
+	r.Transition(0, 460, id, SegEmul)
+	r.Close(0, 500, id, StatusOK)
+	s := BuildSpans(r.Events())[0]
+	if s.Segs[SegDevice] != 250 || s.Segs[SegQueue] != 50 {
+		t.Errorf("device %d, queueing %d cycles, want 250 and 50", s.Segs[SegDevice], s.Segs[SegQueue])
+	}
+	var sum int64
+	for _, v := range s.Segs {
+		sum += v
+	}
+	if sum != int64(s.Duration()) {
+		t.Errorf("segments sum to %d, end-to-end latency %d", sum, s.Duration())
+	}
+	var names []string
+	for _, p := range s.Path {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, " "); got != "emulation server device queueing server emulation" {
+		t.Errorf("path %q", got)
 	}
 }

@@ -5,12 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"nova/internal/trace"
 )
 
-// JSON renders the snapshot as indented JSON (struct-based, fixed field
-// order, metrics name-sorted — deterministic).
-func (d *Data) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
+// JSON renders the snapshot of a run with header run as indented JSON
+// (struct-based, fixed field order, metrics name-sorted —
+// deterministic).
+func (d *Data) JSON(run *trace.Meta) ([]byte, error) {
+	type meta struct {
+		Model    string `json:"model"`
+		FreqMHz  int    `json:"freq_mhz"`
+		NumCPUs  int    `json:"num_cpus"`
+		EpochLen uint64 `json:"epoch_len"`
+	}
+	b, err := json.MarshalIndent(struct {
+		Meta        meta         `json:"meta"`
+		FinalCycles uint64       `json:"final_cycles"`
+		Metrics     []MetricData `json:"metrics"`
+	}{meta{run.Model, run.FreqMHz, run.NumCPUs, d.EpochLen}, d.FinalCycles, d.Metrics}, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -21,11 +34,12 @@ func (d *Data) JSON() ([]byte, error) {
 // counters as `family_total`, gauges and samples as plain gauges,
 // histograms as cumulative `_bucket{le=...}` series plus `_count` and
 // `_sum`. Epoch cells are not rendered here (they are a simulation
-// concept); use JSON or the nova-stat epochs view for the time series.
+// concept); use JSON or the `nova-obs stat epochs` view for the time
+// series.
 // Percentiles are deliberately NOT emitted here — OpenMetrics
 // histograms carry buckets only, and scrapers derive quantiles
 // themselves — keeping this output byte-compatible with older
-// consumers; use `nova-stat report` (HistogramData.Quantile) for
+// consumers; use `nova-obs stat report` (HistogramData.Quantile) for
 // p50/p99/p999.
 func (d *Data) OpenMetrics() []byte {
 	var buf bytes.Buffer

@@ -14,8 +14,7 @@ var synthMeta = Meta{
 
 func TestExitBreakdown(t *testing.T) {
 	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
+		RingData: RingData{PerCPU: [][]Event{{
 			// One io exit: 3000 cycles total, 800 of them in the VMM.
 			{Time: 0, Kind: KindVMExit, A0: 1, A1: 0x8000, A2: 2},
 			{Time: 2800, Kind: KindIPCReply, A0: 4, A1: 800, A2: 1},
@@ -27,9 +26,9 @@ func TestExitBreakdown(t *testing.T) {
 			{Time: 9000, Kind: KindVMResume, A0: 2, A1: 5000, A2: 2},
 			// An exit with no resume (ring wrapped): dropped.
 			{Time: 10000, Kind: KindVMExit, A0: 1, A1: 0xa000, A2: 2},
-		}},
+		}}},
 	}
-	rows := ExitBreakdown(d)
+	rows := ExitBreakdown(&synthMeta, d)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows: %+v", len(rows), rows)
 	}
@@ -49,14 +48,13 @@ func TestExitBreakdownClampsKernel(t *testing.T) {
 	// VMM + hardware exceeding the total must clamp Kernel to 0, not
 	// underflow.
 	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
+		RingData: RingData{PerCPU: [][]Event{{
 			{Time: 0, Kind: KindVMExit, A0: 1, A2: 2},
 			{Time: 100, Kind: KindIPCReply, A0: 4, A1: 900, A2: 1},
 			{Time: 200, Kind: KindVMResume, A0: 1, A1: 1200, A2: 2},
-		}},
+		}}},
 	}
-	rows := ExitBreakdown(d)
+	rows := ExitBreakdown(&synthMeta, d)
 	if len(rows) != 1 || rows[0].Kernel != 0 {
 		t.Fatalf("rows: %+v", rows)
 	}
@@ -67,14 +65,13 @@ func TestComputeIPCBreakdown(t *testing.T) {
 	// recorded call latency of 2*300 - 100 (entry charged before the
 	// recorded window opens) = 500; cross-AS one-way 450 -> latency 800.
 	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
+		RingData: RingData{PerCPU: [][]Event{{
 			{Kind: KindIPCReply, A0: 1, A1: 500, A2: 0},
 			{Kind: KindIPCReply, A0: 1, A1: 500, A2: 0},
 			{Kind: KindIPCReply, A0: 2, A1: 800, A2: 1},
-		}},
+		}}},
 	}
-	b := ComputeIPCBreakdown(d)
+	b := ComputeIPCBreakdown(&synthMeta, d)
 	if b.SameCount != 2 || b.CrossCount != 1 {
 		t.Fatalf("counts: %+v", b)
 	}
@@ -97,8 +94,8 @@ func TestComputeVTLBBreakdown(t *testing.T) {
 	var h Histogram
 	h.Observe(1400)
 	h.Observe(1600)
-	d := &TraceData{Meta: synthMeta, Metrics: Metrics{VTLBFill: h.Data()}}
-	b := ComputeVTLBBreakdown(d)
+	d := &TraceData{Metrics: Metrics{VTLBFill: h.Data()}}
+	b := ComputeVTLBBreakdown(&synthMeta, d)
 	if b.Fills != 2 || b.AvgFill != 1500 || b.PerMiss != 1440 {
 		t.Fatalf("breakdown: %+v", b)
 	}
@@ -111,8 +108,8 @@ func TestComputeVTLBBreakdown(t *testing.T) {
 }
 
 func TestComputeVTLBBreakdownEmpty(t *testing.T) {
-	d := &TraceData{Meta: synthMeta}
-	b := ComputeVTLBBreakdown(d)
+	d := &TraceData{}
+	b := ComputeVTLBBreakdown(&synthMeta, d)
 	if b.Fills != 0 || b.PerMiss != 0 || b.Fill != 0 {
 		t.Errorf("empty trace produced fills: %+v", b)
 	}

@@ -5,29 +5,25 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"nova/internal/hw"
+	"nova/internal/x86"
 )
-
-// magic identifies a serialized trace (version 1).
-const magic = "NOVATRC1"
 
 // eventSize is the fixed on-disk size of one event record:
 // time(8) + seq(8) + kind(1) + 4×arg(8).
 const eventSize = 8 + 8 + 1 + 4*8
 
-// Meta describes the run that produced a trace: the cost-model
-// constants a renderer needs to decompose measured durations into the
-// paper's Figure 8/9 boxes, plus the enum name tables so traces are
-// self-describing.
+// Meta describes the run that produced a NOVAOBS1 file and is its run
+// header, shared by every recorder section: the machine, the
+// cost-model constants a renderer needs to decompose measured durations
+// into the paper's Figure 8/9 boxes, and the enum name tables so files
+// are self-describing.
 type Meta struct {
-	Model        string `json:"model"`
-	FreqMHz      int    `json:"freq_mhz"`
-	NumCPUs      int    `json:"num_cpus"`
-	RingCapacity int    `json:"ring_capacity"`
-	VPID         bool   `json:"vpid"`
+	Model   string `json:"model"`
+	FreqMHz int    `json:"freq_mhz"`
+	NumCPUs int    `json:"num_cpus"`
+	VPID    bool   `json:"vpid"`
 
 	// Cost-model constants, in cycles. VMTransit is the effective
 	// world-switch cost of the run (tagged-aware).
@@ -128,7 +124,7 @@ type Metrics struct {
 	VTLBHits        uint64        `json:"vtlb_hits"`
 	VTLBMisses      uint64        `json:"vtlb_misses"`
 	Counters        []NamedCount  `json:"counters,omitempty"` // name order
-	Rings           []RingStatus  `json:"rings,omitempty"` // CPU order
+	Rings           []RingStatus  `json:"rings,omitempty"`    // CPU order
 	IPCLatency      HistogramData `json:"ipc_latency"`
 	DispatchLatency HistogramData `json:"dispatch_latency"`
 	ExitLatency     HistogramData `json:"exit_latency"`
@@ -163,11 +159,7 @@ func (t *Tracer) MetricsData() Metrics {
 		if n == 0 {
 			continue
 		}
-		name := fmt.Sprintf("reason-%d", r)
-		if r < len(t.Meta.ExitReasons) {
-			name = t.Meta.ExitReasons[r]
-		}
-		m.Exits = append(m.Exits, NamedCount{Name: name, Count: n})
+		m.Exits = append(m.Exits, NamedCount{Name: x86.ExitReason(r).String(), Count: n})
 	}
 	t.Counters.Each(func(name string, v uint64) {
 		m.Counters = append(m.Counters, NamedCount{Name: name, Count: v})
@@ -180,31 +172,40 @@ func (t *Tracer) MetricsData() Metrics {
 	return m
 }
 
-// WriteTo serializes the trace: magic, meta JSON, per-CPU event rings,
-// metrics JSON. Every section is deterministic — struct-based JSON
-// (fixed field order) and fixed-size little-endian event records — so
-// two runs from identical inputs serialize to identical bytes.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	if t == nil {
-		return 0, fmt.Errorf("trace: nil tracer")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+// RingData is the decoded form of a set of per-CPU rings: the tracer's
+// event rings and the span recorder's record rings share it and its
+// codec.
+type RingData struct {
+	Capacity    int
+	PerCPU      [][]Event // index = CPU, ordered by sequence
+	Overwritten []uint64  // per CPU
+}
 
-	metaJSON, err := json.Marshal(t.Meta)
-	if err != nil {
-		return 0, err
+// SnapshotRings captures the live rings in decoded form.
+func SnapshotRings(rings []*Ring) RingData {
+	var d RingData
+	for _, r := range rings {
+		d.Capacity = r.Cap()
+		d.PerCPU = append(d.PerCPU, r.Events())
+		d.Overwritten = append(d.Overwritten, r.Overwritten())
 	}
-	WriteSection(&buf, metaJSON)
+	return d
+}
 
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(t.rings)))
-	buf.Write(tmp[:])
-	for _, r := range t.rings {
-		events := r.Events()
-		var hdr [12]byte
+// Events returns all events merged into the (time, CPU, seq) order.
+func (d *RingData) Events() []Event { return MergeEvents(d.PerCPU) }
+
+// Append writes the rings to buf: capacity and CPU count (u32 each),
+// then per CPU a record count (u32), the overwrite count (u64) and
+// fixed-size little-endian event records.
+func (d *RingData) Append(buf *bytes.Buffer) {
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(d.Capacity))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(d.PerCPU)))
+	buf.Write(hdr[:8])
+	for cpu, events := range d.PerCPU {
 		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(events)))
-		binary.LittleEndian.PutUint64(hdr[4:], r.Overwritten())
+		binary.LittleEndian.PutUint64(hdr[4:], d.Overwritten[cpu])
 		buf.Write(hdr[:])
 		var rec [eventSize]byte
 		for _, e := range events {
@@ -218,93 +219,28 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 			buf.Write(rec[:])
 		}
 	}
-
-	metricsJSON, err := json.Marshal(t.MetricsData())
-	if err != nil {
-		return 0, err
-	}
-	WriteSection(&buf, metricsJSON)
-
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
 }
 
-// Encode returns the serialized trace as a byte slice.
-func (t *Tracer) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, err
+// ReadRings splits rings written by RingData.Append off the front of b.
+func ReadRings(b []byte) (d RingData, rest []byte, err error) {
+	if len(b) < 8 {
+		return d, nil, fmt.Errorf("truncated ring header")
 	}
-	return buf.Bytes(), nil
-}
-
-// Hash returns the FNV-64a hash of the serialized trace. The
-// determinism regression test compares this across runs: identical
-// inputs must produce identical traces, not merely identical counts.
-func (t *Tracer) Hash() uint64 {
-	b, err := t.Encode()
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// WriteSection appends one length-prefixed section (u32 LE length, then
-// the body) to buf. The framing is shared by the trace (NOVATRC1) and
-// profile (NOVAPRF1) file formats.
-func WriteSection(buf *bytes.Buffer, b []byte) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b)))
-	buf.Write(tmp[:])
-	buf.Write(b)
-}
-
-// TraceData is a decoded trace.
-type TraceData struct {
-	Meta        Meta
-	PerCPU      [][]Event // index = CPU, ordered by sequence
-	Overwritten []uint64  // per CPU
-	Metrics     Metrics
-}
-
-// Events returns all events merged into the (time, CPU, seq) order.
-func (d *TraceData) Events() []Event { return MergeEvents(d.PerCPU) }
-
-// Decode parses a serialized trace.
-func Decode(b []byte) (*TraceData, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic (not a nova trace file)")
-	}
-	b = b[len(magic):]
-
-	metaJSON, b, err := ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("trace: meta: %w", err)
-	}
-	d := &TraceData{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("trace: meta: %w", err)
-	}
-
-	if len(b) < 4 {
-		return nil, fmt.Errorf("trace: truncated CPU count")
-	}
-	cpus := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if cpus < 0 || cpus > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible CPU count %d", cpus)
+	d.Capacity = int(binary.LittleEndian.Uint32(b))
+	cpus := int(binary.LittleEndian.Uint32(b[4:]))
+	b = b[8:]
+	if cpus > 1<<8 {
+		return d, nil, fmt.Errorf("implausible CPU count %d", cpus)
 	}
 	for cpu := 0; cpu < cpus; cpu++ {
 		if len(b) < 12 {
-			return nil, fmt.Errorf("trace: truncated ring header (cpu %d)", cpu)
+			return d, nil, fmt.Errorf("truncated ring header (cpu %d)", cpu)
 		}
 		count := int(binary.LittleEndian.Uint32(b))
 		over := binary.LittleEndian.Uint64(b[4:])
 		b = b[12:]
-		if count < 0 || len(b) < count*eventSize {
-			return nil, fmt.Errorf("trace: truncated ring (cpu %d)", cpu)
+		if count > len(b)/eventSize {
+			return d, nil, fmt.Errorf("truncated ring (cpu %d)", cpu)
 		}
 		events := make([]Event, count)
 		for i := range events {
@@ -324,18 +260,57 @@ func Decode(b []byte) (*TraceData, error) {
 		d.PerCPU = append(d.PerCPU, events)
 		d.Overwritten = append(d.Overwritten, over)
 	}
+	return d, b, nil
+}
 
-	metricsJSON, b, err := ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("trace: metrics: %w", err)
+// TraceData is the decoded (or snapshotted) trace: the event rings and
+// the counters-and-histograms section.
+type TraceData struct {
+	RingData
+	Metrics Metrics
+}
+
+// Data snapshots the live tracer into the decoded form.
+func (t *Tracer) Data() *TraceData {
+	return &TraceData{RingData: SnapshotRings(t.Rings()), Metrics: t.MetricsData()}
+}
+
+// MarshalBinary encodes the trace section of a NOVAOBS1 file: the
+// per-CPU event rings, then the metrics JSON as one length-prefixed
+// section. Fixed-size records and struct-based JSON (fixed field order)
+// make two runs from identical inputs encode to identical bytes.
+func (d *TraceData) MarshalBinary() ([]byte, error) {
+	var buf bytes.Buffer
+	d.Append(&buf)
+	if err := WriteJSON(&buf, d.Metrics); err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(metricsJSON, &d.Metrics); err != nil {
-		return nil, fmt.Errorf("trace: metrics: %w", err)
+	return buf.Bytes(), nil
+}
+
+// UnmarshalBinary decodes a trace section written by MarshalBinary.
+func (d *TraceData) UnmarshalBinary(b []byte) error {
+	rings, b, err := ReadRings(b)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	d.RingData = rings
+	if b, err = ReadJSON(b, &d.Metrics); err != nil {
+		return fmt.Errorf("trace: metrics: %w", err)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes", len(b))
+		return fmt.Errorf("trace: %d trailing bytes", len(b))
 	}
-	return d, nil
+	return nil
+}
+
+// WriteSection appends one length-prefixed section (u32 LE length, then
+// the body) to buf: the framing of every NOVAOBS1 section.
+func WriteSection(buf *bytes.Buffer, b []byte) {
+	var tmp [4]byte
+	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b)))
+	buf.Write(tmp[:])
+	buf.Write(b)
 }
 
 // ReadSection splits one length-prefixed section (as written by
@@ -346,8 +321,35 @@ func ReadSection(b []byte) (section, rest []byte, err error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if n < 0 || len(b) < n {
+	if len(b) < n {
 		return nil, nil, fmt.Errorf("truncated section body")
 	}
 	return b[:n], b[n:], nil
+}
+
+// WriteJSON appends v's JSON encoding as one section.
+func WriteJSON(buf *bytes.Buffer, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	WriteSection(buf, b)
+	return nil
+}
+
+// ReadJSON splits one JSON section off the front of b into v. The body
+// must be exactly what WriteJSON writes for the decoded value, so every
+// file that decodes re-encodes to the same bytes.
+func ReadJSON(b []byte, v any) (rest []byte, err error) {
+	body, rest, err := ReadSection(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return nil, err
+	}
+	if canon, err := json.Marshal(v); err != nil || !bytes.Equal(canon, body) {
+		return nil, fmt.Errorf("non-canonical JSON")
+	}
+	return rest, nil
 }

@@ -10,7 +10,8 @@
 // with tracing enabled produces bit-identical cycle totals to a run
 // without, and two traced runs of the same guest produce byte-identical
 // event streams. The nova-vet `tracepure` analyzer enforces this
-// statically; the CI trace-on/off step enforces it end to end.
+// statically; the CI on/off step (`nova-run -obs` against a plain run)
+// enforces it end to end.
 //
 // Events land in fixed-capacity per-CPU ring buffers carrying per-CPU
 // sequence numbers; when a ring wraps, the oldest events are dropped
@@ -248,7 +249,6 @@ func (r *Ring) Events() []Event {
 // *Tracer means tracing is off and every call is a two-instruction
 // no-op.
 type Tracer struct {
-	Meta  Meta
 	rings []*Ring
 
 	// ExitCounts counts VM exits by reason (indexed by x86.ExitReason).
@@ -267,10 +267,8 @@ type Tracer struct {
 }
 
 // New creates a tracer with one ring of the given capacity per CPU.
-func New(meta Meta, cpus, capacity int) *Tracer {
-	t := &Tracer{Meta: meta}
-	t.Meta.NumCPUs = cpus
-	t.Meta.RingCapacity = capacity
+func New(cpus, capacity int) *Tracer {
+	t := &Tracer{}
 	for i := 0; i < cpus; i++ {
 		t.rings = append(t.rings, NewRing(i, capacity))
 	}

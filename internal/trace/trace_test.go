@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -137,13 +138,13 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if m := tr.MetricsData(); len(m.Exits) != 0 {
 		t.Error("nil tracer returned metrics")
 	}
-	if _, err := tr.WriteTo(nil); err == nil {
-		t.Error("nil tracer serialized without error")
+	if d := tr.Data(); len(d.PerCPU) != 0 || len(d.Metrics.Rings) != 0 {
+		t.Error("nil tracer snapshotted data")
 	}
 }
 
 func TestMergeEventsOrder(t *testing.T) {
-	tr := New(Meta{}, 2, 8)
+	tr := New(2, 8)
 	tr.Emit(0, 10, KindPIO, 0, 0, 0, 0)
 	tr.Emit(1, 5, KindPIO, 1, 0, 0, 0)
 	tr.Emit(0, 20, KindPIO, 2, 0, 0, 0)
@@ -162,14 +163,7 @@ func TestMergeEventsOrder(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	meta := Meta{
-		Model: "BLM", FreqMHz: 2670, VPID: true,
-		SyscallEntryExit: 124, VMTransit: 1016, VMRead: 44,
-		TLBRefill: 310, PageWalkLevel: 30, CacheLineAccess: 15,
-		ExitReasons: []string{"none", "io"},
-		KindNames:   KindNames(),
-	}
-	tr := New(meta, 2, 2)
+	tr := New(2, 2)
 	tr.Emit(0, 100, KindVMExit, 1, 0x8000, 2, 0)
 	tr.Emit(0, 200, KindIPCReply, 4, 90, 1, 0)
 	tr.Emit(0, 300, KindVMResume, 1, 200, 2, 0) // wraps: drops the first
@@ -177,19 +171,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr.Emit(1, 160, KindVTLBFill, 0x1000, 500, 2, 0)
 	tr.Count("mmio.vahci", 7)
 
-	b, err := tr.Encode()
+	b, err := tr.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decode(b)
-	if err != nil {
+	var d TraceData
+	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d.Meta, tr.Meta) {
-		t.Errorf("meta mismatch:\n got %+v\nwant %+v", d.Meta, tr.Meta)
-	}
-	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 2 || len(d.PerCPU[1]) != 2 {
-		t.Fatalf("per-CPU shapes: %d/%d", len(d.PerCPU[0]), len(d.PerCPU[1]))
+	if d.Capacity != 2 || len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 2 || len(d.PerCPU[1]) != 2 {
+		t.Fatalf("ring shapes: capacity %d, %d CPUs", d.Capacity, len(d.PerCPU))
 	}
 	if d.Overwritten[0] != 1 || d.Overwritten[1] != 0 {
 		t.Errorf("overwritten = %v", d.Overwritten)
@@ -197,7 +188,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(d.PerCPU[0], tr.rings[0].Events()) {
 		t.Errorf("cpu0 events: got %+v want %+v", d.PerCPU[0], tr.rings[0].Events())
 	}
-	if d.Metrics.Exits[0].Count != 1 || d.Metrics.Counters[0].Name != "mmio.vahci" ||
+	if d.Metrics.Exits[0].Name != "hlt" || d.Metrics.Exits[0].Count != 1 ||
+		d.Metrics.Counters[0].Name != "mmio.vahci" ||
 		d.Metrics.IPCLatency.Count != 1 || d.Metrics.ExitLatency.Sum != 200 ||
 		d.Metrics.VTLBFill.Sum != 500 || d.Metrics.VTLBMisses != 1 {
 		t.Errorf("metrics: %+v", d.Metrics)
@@ -206,35 +198,44 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Error("merged events differ after round trip")
 	}
 
-	// Serialization is deterministic byte for byte.
-	b2, err := tr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != string(b2) {
-		t.Error("two encodings of the same tracer differ")
+	// Serialization is deterministic byte for byte, and the decoded
+	// form re-encodes to the same bytes.
+	for _, src := range []*TraceData{tr.Data(), &d} {
+		b2, err := src.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != string(b2) {
+			t.Error("two encodings of the same trace differ")
+		}
 	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	tr := New(Meta{Model: "K8"}, 1, 4)
+	tr := New(1, 4)
 	tr.Emit(0, 1, KindPIO, 0, 0, 0, 0)
-	b, err := tr.Encode()
+	b, err := tr.Data().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode([]byte("NOTATRACE")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Decode(b[:len(b)-3]); err == nil {
+	var d TraceData
+	if err := d.UnmarshalBinary(b[:len(b)-3]); err == nil {
 		t.Error("truncated trace accepted")
 	}
-	if _, err := Decode(append(append([]byte{}, b...), 0)); err == nil {
+	if err := d.UnmarshalBinary(append(append([]byte{}, b...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	for cut := range []int{8, 10, 12} {
-		if _, err := Decode(b[:cut]); err == nil {
+	for _, cut := range []int{0, 4, 10, 20} {
+		if err := d.UnmarshalBinary(b[:cut]); err == nil {
 			t.Errorf("prefix of %d bytes accepted", cut)
 		}
+	}
+	// A metrics section that is valid JSON but not what the encoder
+	// writes would not re-encode to the same bytes.
+	var buf bytes.Buffer
+	tr.Data().Append(&buf)
+	WriteSection(&buf, []byte(`{ "vtlb_hits": 0 }`))
+	if err := d.UnmarshalBinary(buf.Bytes()); err == nil {
+		t.Error("non-canonical metrics JSON accepted")
 	}
 }

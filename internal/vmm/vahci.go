@@ -230,9 +230,10 @@ func (a *VAHCI) issue(slot int) {
 			a.fail(slot)
 			return
 		}
-		// Accepted: the request is in flight at the host device until
-		// its completion record arrives.
-		m.K.Spans.Transition(cpu, m.K.Now(), sp, span.SegQueue)
+		// Accepted: the request is at the host device until the disk's
+		// completion time (the server's AnnotDeviceDone), then queues
+		// until its completion record arrives.
+		m.K.Spans.Transition(cpu, m.K.Now(), sp, span.SegDevice)
 		return
 	}
 	a.fail(slot)

@@ -26,9 +26,11 @@ import "fmt"
 //     (DESIGN.md §3a).
 //   - The binding layer caps the block (StepBlock's max) so virtual
 //     time cannot run past the next platform event, the run-loop
-//     deadline or the profiler's next sample point: no event,
-//     interrupt-window, preemption or sampling check that the
-//     sequential loop would have performed mid-block could have fired.
+//     deadline or the profiler's next sample point, and StepBlock
+//     lowers the cap by whatever the block's own fetch translation
+//     charged (read through Interp.TSC): no event, interrupt-window,
+//     preemption or sampling check that the sequential loop would
+//     have performed mid-block could have fired.
 //     When anything is already pending, the binding layer forces
 //     max=1 and the existing single-step path runs instead.
 //   - A relative branch may only terminate a block, so the cached
@@ -72,7 +74,9 @@ type SuperblockStats struct {
 	// because an interrupt, recall or injection was already pending.
 	CutPending uint64
 	// CutClamp counts fused executions truncated below the cached
-	// block's length by the event-horizon/deadline cap.
+	// block's length by the event-horizon/deadline cap, and single
+	// steps taken because the block's fetch charged so much that fewer
+	// than two instructions fit under the cap.
 	CutClamp uint64
 	// CutShort counts entry points with no fusible run of length >= 2.
 	CutShort uint64
@@ -104,8 +108,8 @@ func instBranch(inst *Inst) bool {
 // fused run's cost is exactly its instruction count times the base
 // instruction cost. MUL and DIV group-3 forms charge extra latency and
 // are excluded; everything else instNoFault admits retires for the flat
-// base cost. Exported for nova-prof, which annotates hot addresses with
-// their fusibility.
+// base cost. Exported for `nova-obs prof report`, which annotates hot
+// addresses with their fusibility.
 func InstFusible(inst *Inst) bool {
 	if !instNoFault(inst) {
 		return false
@@ -164,7 +168,9 @@ func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, off int, def32, 
 // the n sequential charges it replaces. The caller must ensure max
 // instructions fit before the next platform event, the run deadline and
 // the profiler's next sample point, and must force max=1 (or call Step)
-// when an interrupt, recall or injection is pending.
+// when an interrupt, recall or injection is pending. ip.TSC, when set,
+// must read the clock the fetch translation charges: StepBlock lowers
+// max by that charge.
 func (ip *Interp) StepBlock(max uint64) error {
 	st := ip.St
 	if st.Halted {
@@ -177,6 +183,10 @@ func (ip *Interp) StepBlock(max uint64) error {
 	st.IntShadow = false
 	def32 := st.Seg[CS].Def32
 	va := st.Seg[CS].Base + st.EIP
+	var before uint64
+	if ip.TSC != nil {
+		before = ip.TSC()
+	}
 	data, page, gen, err := ip.pager.ExecPage(st, va)
 	if err != nil {
 		ip.Cache.SB.CutSlow++
@@ -217,6 +227,20 @@ func (ip *Interp) StepBlock(max uint64) error {
 		ip.Cache.SB.CutShort++
 		inst, derr := ip.decodeFromPage(dp, data, off, def32, fresh)
 		return ip.stepDecoded(inst, derr, prevShadow)
+	}
+	if ip.TSC != nil {
+		// max was sized before this fetch. A fetch that charged (a TLB
+		// miss, a vTLB fill) moved the clock TSC reads, so fewer
+		// instructions fit before the limit: at least one base-cost
+		// cycle each, max shrinks by the charge. With fewer than two
+		// left, take one decoded step, as the sequential loop would.
+		if charged := ip.TSC() - before; charged > 0 {
+			if charged+2 > max {
+				ip.Cache.SB.CutClamp++
+				return ip.stepDecoded(sb.insts[0], nil, prevShadow)
+			}
+			max -= charged
+		}
 	}
 	n := len(sb.insts)
 	if uint64(n) > max {
