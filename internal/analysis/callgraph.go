@@ -190,8 +190,10 @@ func (g *CallGraph) addEdge(node *FuncNode, callee *types.Func, pos token.Pos, s
 
 // resolve expands an interface method into its concrete implementations
 // (plus nothing for the abstract method itself); a concrete function
-// resolves to itself.
+// resolves to itself, and an instantiation of a generic function or
+// method to the generic declaration whose body the graph holds.
 func (g *CallGraph) resolve(fn *types.Func) []*types.Func {
+	fn = fn.Origin()
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return []*types.Func{fn}

@@ -59,6 +59,16 @@ func TestCallGraphResolution(t *testing.T) {
 		t.Errorf("root: missing function-value edge to helper (have %v)", got)
 	}
 
+	// Generic method: the call through Box[int] must resolve to the
+	// generic declaration, the one function with a body and a node.
+	generic := false
+	for _, e := range nodeByName("callgraph.viaGeneric").Out {
+		generic = generic || (e.Callee.Name() == "Put" && cg.Node(e.Callee) != nil)
+	}
+	if !generic {
+		t.Error("viaGeneric: no edge to the Box.Put declaration")
+	}
+
 	// Reachability: a predicate on Tick must mark dispatch and viaValue
 	// (they can reach a Tick implementation) but not helper.
 	reach := cg.ReachesAny(func(fn *types.Func) bool {

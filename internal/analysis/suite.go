@@ -101,7 +101,7 @@ type Timing struct {
 }
 
 // RunSuite loads the repository rooted at root and runs every suite
-// entry, returning the combined diagnostics (unfiltered by baseline).
+// entry, returning the combined diagnostics.
 func RunSuite(root string) ([]Diagnostic, error) {
 	diags, _, err := RunEntries(root, DefaultSuite())
 	return diags, err

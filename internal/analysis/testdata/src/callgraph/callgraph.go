@@ -41,3 +41,13 @@ func viaFuncValue(run func()) {
 func root() {
 	viaFuncValue(helper)
 }
+
+// Box is generic: a call through an instantiation must resolve to the
+// declaration that has the body, Box.Put.
+type Box[T any] struct{ v T }
+
+func (b *Box[T]) Put(v T) { b.v = v }
+
+func viaGeneric(b *Box[int]) {
+	b.Put(1)
+}

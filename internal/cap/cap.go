@@ -11,7 +11,6 @@ package cap
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Selector names a capability within a protection domain's capability
@@ -35,21 +34,11 @@ const (
 )
 
 func (r Rights) String() string {
-	b := []byte("-----")
-	if r&RightRead != 0 {
-		b[0] = 'r'
-	}
-	if r&RightWrite != 0 {
-		b[1] = 'w'
-	}
-	if r&RightExec != 0 {
-		b[2] = 'x'
-	}
-	if r&RightCtrl != 0 {
-		b[3] = 'c'
-	}
-	if r&RightCall != 0 {
-		b[4] = 'p'
+	b := []byte("rwxcp")
+	for i := range b {
+		if r&(1<<i) == 0 {
+			b[i] = '-'
+		}
 	}
 	return string(b)
 }
@@ -105,22 +94,10 @@ var (
 	ErrSpaceClosed = errors.New("cap: space destroyed")
 )
 
-// node is one entry in the mapping database: a capability plus its
-// position in the delegation tree.
-type node struct {
-	cap      Capability
-	space    *Space
-	sel      Selector
-	parent   *node
-	children map[*node]struct{}
-	dead     bool
-}
-
 // Space is one protection domain's capability space.
 type Space struct {
 	name    string
-	slots   map[Selector]*node
-	closed  bool
+	t       tree[Selector, Capability]
 	nextSel Selector
 
 	// Stats.
@@ -131,9 +108,7 @@ type Space struct {
 }
 
 // NewSpace creates an empty capability space.
-func NewSpace(name string) *Space {
-	return &Space{name: name, slots: make(map[Selector]*node)}
-}
+func NewSpace(name string) *Space { return &Space{name: name} }
 
 // Name returns the space's debugging name.
 func (s *Space) Name() string { return s.name }
@@ -146,40 +121,37 @@ func (s *Space) AllocSel() Selector {
 	}
 	for {
 		s.nextSel++
-		if _, ok := s.slots[s.nextSel]; !ok {
+		if s.t.index[s.nextSel] == nil {
 			return s.nextSel
 		}
 	}
 }
 
 // Len returns the number of occupied selectors.
-func (s *Space) Len() int { return len(s.slots) }
+func (s *Space) Len() int { return len(s.t.index) }
 
 // Selectors returns the occupied selectors in ascending order.
 func (s *Space) Selectors() []Selector {
-	out := make([]Selector, 0, len(s.slots))
-	for sel := range s.slots {
-		out = append(out, sel)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Selector, 0, s.Len())
+	s.t.first(func(e *entry[Selector, Capability]) bool {
+		out = append(out, e.key)
+		return false
+	})
 	return out
 }
 
 // Insert installs a root capability (a freshly created kernel object)
 // at sel. Root capabilities have no parent in the mapping database.
 func (s *Space) Insert(sel Selector, obj Object, rights Rights) error {
-	if s.closed {
+	if s.t.closed {
 		return ErrSpaceClosed
 	}
-	if _, ok := s.slots[sel]; ok {
+	if s.t.index[sel] != nil {
 		return ErrOccupied
 	}
-	s.slots[sel] = &node{
-		cap:      Capability{Obj: obj, Type: obj.ObjectType(), Rights: rights},
-		space:    s,
-		sel:      sel,
-		children: make(map[*node]struct{}),
-	}
+	e := &s.t.alloc(sel, 1)[0]
+	e.val = Capability{Obj: obj, Type: obj.ObjectType(), Rights: rights}
+	s.t.add(e, nil)
 	s.Inserts++
 	return nil
 }
@@ -188,11 +160,11 @@ func (s *Space) Insert(sel Selector, obj Object, rights Rights) error {
 // copy: holders cannot mutate the space through it.
 func (s *Space) Lookup(sel Selector) (Capability, error) {
 	s.Lookups++
-	n, ok := s.slots[sel]
-	if !ok || n.dead {
+	e := s.t.index[sel]
+	if e == nil {
 		return Capability{}, ErrEmptySlot
 	}
-	return n.cap, nil
+	return e.val, nil
 }
 
 // LookupTyped resolves a selector and checks type and rights in one
@@ -213,44 +185,37 @@ func (s *Space) LookupTyped(sel Selector, t ObjType, need Rights) (Capability, e
 
 // LookupObj is the reverse validation used by hypercalls that receive a
 // kernel object by reference: it proves the holder names obj somewhere
-// in this space with at least the needed rights. The scan is over the
-// sorted selector list, so the result is deterministic: the lowest
-// selector naming obj with sufficient rights wins. Like Lookup, the
-// returned capability is a copy.
+// in this space with at least the needed rights. The scan is in
+// selector order, so the result is deterministic: the lowest selector
+// naming obj with sufficient rights wins. Like Lookup, the returned
+// capability is a copy.
 func (s *Space) LookupObj(obj Object, t ObjType, need Rights) (Capability, error) {
-	if s.closed {
+	if s.t.closed {
 		return Capability{}, ErrSpaceClosed
 	}
 	s.Lookups++
-	named := false
-	for _, sel := range s.Selectors() {
-		n := s.slots[sel]
-		if n == nil || n.dead || n.cap.Obj != obj {
-			continue
+	err := ErrEmptySlot
+	e := s.t.first(func(e *entry[Selector, Capability]) bool {
+		if e.val.Obj != obj || e.val.Type != t {
+			return false
 		}
-		if n.cap.Type != t {
-			continue
-		}
-		named = true
-		if n.cap.Rights&need == need {
-			return n.cap, nil
-		}
+		err = ErrNoRights
+		return e.val.Rights&need == need
+	})
+	if e == nil {
+		return Capability{}, err
 	}
-	if named {
-		return Capability{}, ErrNoRights
-	}
-	return Capability{}, ErrEmptySlot
+	return e.val, nil
 }
 
 // SelectorOf returns the lowest selector naming obj in this space, for
 // brokering helpers that need to re-delegate an object they hold.
 func (s *Space) SelectorOf(obj Object) (Selector, bool) {
-	for _, sel := range s.Selectors() {
-		if n := s.slots[sel]; n != nil && !n.dead && n.cap.Obj == obj {
-			return sel, true
-		}
+	e := s.t.first(func(e *entry[Selector, Capability]) bool { return e.val.Obj == obj })
+	if e == nil {
+		return 0, false
 	}
-	return 0, false
+	return e.key, true
 }
 
 // Delegate copies the capability at srcSel into dst at dstSel, with
@@ -258,29 +223,20 @@ func (s *Space) SelectorOf(obj Object) (Selector, bool) {
 // database. The receiver's capability can later be withdrawn by
 // revoking the source (§6).
 func (s *Space) Delegate(srcSel Selector, dst *Space, dstSel Selector, mask Rights) error {
-	if s.closed || dst.closed {
+	if s.t.closed || dst.t.closed {
 		return ErrSpaceClosed
 	}
-	src, ok := s.slots[srcSel]
-	if !ok || src.dead {
+	src := s.t.index[srcSel]
+	if src == nil {
 		return ErrEmptySlot
 	}
-	if _, ok := dst.slots[dstSel]; ok {
+	if dst.t.index[dstSel] != nil {
 		return ErrOccupied
 	}
-	child := &node{
-		cap: Capability{
-			Obj:    src.cap.Obj,
-			Type:   src.cap.Type,
-			Rights: src.cap.Rights & mask,
-		},
-		space:    dst,
-		sel:      dstSel,
-		parent:   src,
-		children: make(map[*node]struct{}),
-	}
-	src.children[child] = struct{}{}
-	dst.slots[dstSel] = child
+	e := &dst.t.alloc(dstSel, 1)[0]
+	e.val = src.val
+	e.val.Rights &= mask
+	dst.t.add(e, src)
 	s.Delegates++
 	return nil
 }
@@ -289,68 +245,30 @@ func (s *Space) Delegate(srcSel Selector, dst *Space, dstSel Selector, mask Righ
 // from sel. If self is true, the capability at sel itself is removed as
 // well. It returns how many capabilities were removed.
 func (s *Space) Revoke(sel Selector, self bool) (int, error) {
-	n, ok := s.slots[sel]
-	if !ok || n.dead {
+	e := s.t.index[sel]
+	if e == nil {
 		return 0, ErrEmptySlot
 	}
 	s.Revokes++
-	removed := 0
-	var kill func(*node)
-	kill = func(v *node) {
-		for c := range v.children {
-			kill(c)
-		}
-		v.children = nil
-		v.dead = true
-		delete(v.space.slots, v.sel)
-		if v.parent != nil {
-			delete(v.parent.children, v)
-		}
-		removed++
-	}
-	for c := range n.children {
-		kill(c)
-	}
-	if self {
-		kill(n)
-	}
-	return removed, nil
+	return e.revoke(self), nil
 }
 
 // Remove deletes the capability at sel from this space only (close-like
 // semantics; delegated children survive and reparent to nothing —
 // matching NOVA where removing your own selector does not revoke).
 func (s *Space) Remove(sel Selector) error {
-	n, ok := s.slots[sel]
-	if !ok {
+	e := s.t.index[sel]
+	if e == nil {
 		return ErrEmptySlot
 	}
-	for c := range n.children {
-		c.parent = nil
-	}
-	if n.parent != nil {
-		delete(n.parent.children, n)
-	}
-	n.dead = true
-	delete(s.slots, sel)
+	e.remove()
 	return nil
 }
 
-// Destroy closes the space, revoking everything delegated from it. The
-// sorted selector walk keeps teardown order deterministic; selectors
-// already removed by an earlier transitive revoke are skipped, and any
-// remaining revocation failures are aggregated instead of dropped so
-// the hypercall layer can report them.
+// Destroy closes the space, revoking everything delegated from it in
+// ascending selector order. Revocation within the mapping database
+// cannot fail, so the error is always nil.
 func (s *Space) Destroy() error {
-	var errs []error
-	for _, sel := range s.Selectors() {
-		if _, ok := s.slots[sel]; !ok {
-			continue // revoked transitively by an earlier selector
-		}
-		if _, err := s.Revoke(sel, true); err != nil && !errors.Is(err, ErrEmptySlot) {
-			errs = append(errs, fmt.Errorf("cap: destroy %s sel %d: %w", s.name, sel, err))
-		}
-	}
-	s.closed = true
-	return errors.Join(errs...)
+	s.Revokes += uint64(s.t.destroy())
+	return nil
 }

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -265,5 +266,55 @@ func TestDestroyPDRevokesEverything(t *testing.T) {
 	msg := &UTCB{}
 	if err := k.Call(peer, 100, msg); err == nil {
 		t.Error("call into destroyed domain succeeded")
+	}
+}
+
+// TestDestroyPDRevokesPortDelegations: ports a destroyed domain handed
+// on to a domain it created are withdrawn with it (§6), like its
+// capabilities and memory.
+func TestDestroyPDRevokesPortDelegations(t *testing.T) {
+	k := newTestKernel(t, Config{})
+	a, _ := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), "a", false)
+	if err := k.DelegateIO(k.Root, a, 0x3f8, 0x3ff); err != nil {
+		t.Fatal(err)
+	}
+	b, err := k.CreatePD(a, a.Caps.AllocSel(), "b", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateIO(a, b, 0x3f8, 0x3ff); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DestroyPD(k.Root, a); err != nil {
+		t.Fatal(err)
+	}
+	if b.IO.Allowed(0x3f8) {
+		t.Error("port delegated by a destroyed domain is still allowed")
+	}
+	if !k.Root.IO.Allowed(0x3f8) {
+		t.Error("root lost its own port")
+	}
+}
+
+// TestDelegateIntoDestroyedPD: a destroyed domain's memory and I/O
+// spaces refuse delegation, as its capability space does.
+func TestDelegateIntoDestroyedPD(t *testing.T) {
+	k := newTestKernel(t, Config{})
+	sel := k.Root.Caps.AllocSel()
+	pd, _ := k.CreatePD(k.Root, sel, "dead", false)
+	if err := k.DestroyPD(k.Root, pd); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateMem(k.Root, 0x400, pd, 0x400, 4, cap.RightsAll); !errors.Is(err, cap.ErrSpaceClosed) {
+		t.Errorf("DelegateMem into destroyed PD: %v, want %v", err, cap.ErrSpaceClosed)
+	}
+	if err := k.DelegateIO(k.Root, pd, 0x3f8, 0x3ff); !errors.Is(err, cap.ErrSpaceClosed) {
+		t.Errorf("DelegateIO into destroyed PD: %v, want %v", err, cap.ErrSpaceClosed)
+	}
+	if err := k.DelegateCap(k.Root, sel, pd, 1, cap.RightsAll); !errors.Is(err, cap.ErrSpaceClosed) {
+		t.Errorf("DelegateCap into destroyed PD: %v, want %v", err, cap.ErrSpaceClosed)
+	}
+	if pd.Mem.Len() != 0 || pd.IO.Len() != 0 {
+		t.Errorf("destroyed PD holds %d pages and %d ports", pd.Mem.Len(), pd.IO.Len())
 	}
 }
