@@ -11,32 +11,57 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"nova/internal/bench"
 	"nova/internal/tcb"
-	"nova/internal/walltime"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all",
-		"fig1|fig5|fig6|fig7|fig8|fig9|tab1|tab2|ablations|hostperf|all")
-	scaleName := flag.String("scale", "quick", "quick|full")
 	root := flag.String("root", ".", "repository root for the fig1 line count")
+	// experiments lists every experiment in run order. fig1 prints the
+	// TCB comparison and returns no table, so it stays out of the report.
+	experiments := []struct {
+		name string
+		run  func(bench.Scale) (*bench.Table, error)
+	}{
+		{"fig1", func(bench.Scale) (*bench.Table, error) {
+			live, err := tcb.CountRepo(*root)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "fig1: live line count: %v\n", err)
+				live = nil // still print the paper comparison
+			}
+			fmt.Println(tcb.Format(live))
+			return nil, nil
+		}},
+		{"tab1", func(bench.Scale) (*bench.Table, error) { return bench.RunTab1(), nil }},
+		{"fig5", func(sc bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig5(sc); return t, err }},
+		{"fig6", func(sc bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig6(sc); return t, err }},
+		{"fig7", func(sc bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig7(sc); return t, err }},
+		{"fig8", func(bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig8(); return t, err }},
+		{"fig9", func(bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig9(); return t, err }},
+		{"tab2", func(sc bench.Scale) (*bench.Table, error) { t, _, err := bench.RunTab2(sc); return t, err }},
+		{"ablations", func(sc bench.Scale) (*bench.Table, error) { t, _, err := bench.RunAblations(sc); return t, err }},
+	}
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+
+	experiment := flag.String("experiment", "all", strings.Join(names, "|"))
+	scaleName := flag.String("scale", "quick", "quick|full")
 	out := flag.String("out", "", "write results as JSON to this file (e.g. BENCH_quick.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile of the host process to this file")
 	compare := flag.Bool("compare", false,
-		"compare two report files (BASELINE.json NEW.json) instead of running; exit 1 on deterministic drift")
+		"compare two report files (BASELINE.json NEW.json) instead of running; exit 1 on drift")
 	flag.Parse()
 
 	if *compare {
 		compareReports(flag.Args())
 		return
 	}
-
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
-	defer stopProfiles()
 
 	var sc bench.Scale
 	switch *scaleName {
@@ -48,112 +73,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-
-	report := &bench.Report{Scale: *scaleName}
-
-	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		// Host-side progress timing only; simulated results are in
-		// virtual cycles (see internal/walltime's package comment).
-		sw := walltime.Start()
-		fmt.Printf("==== %s ====\n", strings.ToUpper(name))
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		sec := sw.Seconds()
-		report.SetHostSeconds(name, sec)
-		fmt.Printf("(%s finished in %.1fs)\n\n", name, sec)
+	if !slices.Contains(names, *experiment) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s)\n", *experiment, strings.Join(names, "|"))
+		os.Exit(2)
 	}
 
-	run("fig1", func() error {
-		live, err := tcb.CountRepo(*root)
-		if err != nil {
-			live = nil // still print the paper comparison
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
+
+	report := &bench.Report{Scale: *scaleName}
+	for _, e := range experiments {
+		if *experiment != "all" && *experiment != e.name {
+			continue
 		}
-		fmt.Println(tcb.Format(live))
-		return nil
-	})
-	run("tab1", func() error {
-		t := bench.RunTab1()
-		report.Add("tab1", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("fig5", func() error {
-		t, _, err := bench.RunFig5(sc)
+		fmt.Printf("==== %s ====\n", strings.ToUpper(e.name))
+		t, err := e.run(sc)
 		if err != nil {
-			return err
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
 		}
-		report.Add("fig5", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("fig6", func() error {
-		t, _, err := bench.RunFig6(sc)
-		if err != nil {
-			return err
+		if t != nil {
+			report.Add(e.name, t)
+			fmt.Println(t)
 		}
-		report.Add("fig6", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("fig7", func() error {
-		t, _, err := bench.RunFig7(sc)
-		if err != nil {
-			return err
-		}
-		report.Add("fig7", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("fig8", func() error {
-		t, _, err := bench.RunFig8()
-		if err != nil {
-			return err
-		}
-		report.Add("fig8", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("fig9", func() error {
-		t, _, err := bench.RunFig9()
-		if err != nil {
-			return err
-		}
-		report.Add("fig9", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("tab2", func() error {
-		t, _, err := bench.RunTab2(sc)
-		if err != nil {
-			return err
-		}
-		report.Add("tab2", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("ablations", func() error {
-		t, _, err := bench.RunAblations(sc)
-		if err != nil {
-			return err
-		}
-		report.Add("ablations", t)
-		fmt.Println(t)
-		return nil
-	})
-	run("hostperf", func() error {
-		t, err := bench.RunHostPerf(sc)
-		if err != nil {
-			return err
-		}
-		report.Add("hostperf", t)
-		fmt.Println(t)
-		return nil
-	})
+	}
 
 	stopProfiles()
 
@@ -171,10 +114,8 @@ func main() {
 	}
 }
 
-// compareReports diffs two bench report files. Deterministic drift
-// (simulated results that changed) exits 1 so CI fails; host-dependent
-// differences (wall-clock, Go version, host-throughput rows) are
-// printed as advisory and never fail the comparison.
+// compareReports diffs two bench report files and exits 1 on any drift
+// in the simulated results, so CI fails.
 func compareReports(args []string) {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: nova-bench -compare BASELINE.json NEW.json")
@@ -190,23 +131,20 @@ func compareReports(args []string) {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	res, err := bench.Compare(baseline, current)
+	drift, err := bench.Compare(baseline, current)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
 		os.Exit(2)
 	}
-	for _, a := range res.Advisory {
-		fmt.Printf("advisory: %s\n", a)
-	}
-	if res.Failed() {
-		fmt.Printf("DRIFT: %d deterministic difference(s) between %s and %s:\n", len(res.Drift), args[0], args[1])
-		for _, d := range res.Drift {
+	if len(drift) > 0 {
+		fmt.Printf("DRIFT: %d difference(s) between %s and %s:\n", len(drift), args[0], args[1])
+		for _, d := range drift {
 			fmt.Printf("  %s\n", d)
 		}
 		fmt.Println("simulated results changed; investigate, or refresh the baseline if intentional")
 		os.Exit(1)
 	}
-	fmt.Printf("OK: %s and %s agree on all deterministic fields\n", args[0], args[1])
+	fmt.Printf("OK: %s and %s agree on every field\n", args[0], args[1])
 }
 
 // startProfiles begins host-side pprof profiling as requested and

@@ -22,8 +22,12 @@
 //	internal/guest      guest operating systems (real x86 kernels)
 //	internal/bench      regenerates every figure and table of §8
 //	internal/tcb        Figure 1 TCB accounting
+//	internal/obs        the NOVAOBS1 observation file (trace, profile, stats, spans)
 //	cmd/nova-bench      run the evaluation
 //	cmd/nova-run        boot and run guests
+//	cmd/nova-obs        read observation files
+//	cmd/nova-vet        the invariant checker
 //	cmd/nova-asm        the assembler CLI
 //	cmd/nova-tcb        TCB line counting
+//	perfbench           host-speed benchmark of the simulator (its own module)
 package nova

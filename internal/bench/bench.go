@@ -66,7 +66,7 @@ type Table struct {
 	// bit-identical either way).
 	Prof *ProfSummary `json:"prof,omitempty"`
 	// VirtualCycles is the total simulated cycle count consumed by the
-	// experiment's runs — a deterministic quantity, unlike HostSeconds.
+	// experiment's runs.
 	VirtualCycles uint64 `json:"virtual_cycles,omitempty"`
 	// Resources aggregates the runs' deterministic consumption totals
 	// (instructions, exits, IPC, DMA, ...), when the experiment ran

@@ -1,50 +1,36 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"sort"
 )
 
-// CompareResult partitions the differences between two bench reports.
-// Drift lists mismatches in deterministic fields — simulated results
-// that must be bit-identical across hosts, so any entry is a regression
-// (or an intentional change that needs a baseline refresh). Advisory
-// lists differences in host-dependent fields (wall-clock durations, Go
-// version, host-throughput rows), which never fail a comparison.
-type CompareResult struct {
-	Drift    []string
-	Advisory []string
-}
-
-// Failed reports whether the comparison found deterministic drift.
-func (c *CompareResult) Failed() bool { return len(c.Drift) > 0 }
-
-// hostDependentExperiments name experiments whose table rows measure
-// the host machine rather than the simulated platform. Their rows are
-// advisory; their VirtualCycles totals are still simulated quantities
-// and compared strictly.
-var hostDependentExperiments = map[string]bool{"hostperf": true}
-
-// Compare diffs two serialized bench reports (baseline first). It
-// refuses mismatched schema versions or scales outright, since row
-// layouts and workload sizes are only comparable within one schema and
-// one scale.
-func Compare(baseline, current []byte) (*CompareResult, error) {
-	var old, new Report
-	if err := json.Unmarshal(baseline, &old); err != nil {
+// Compare diffs two serialized bench reports (baseline first) and
+// returns one line per drift. Every report field is a simulated result
+// that must be bit-identical across hosts, so any drift is a regression
+// or an intentional change that needs a baseline refresh. It refuses
+// mismatched schema versions or scales outright, since row layouts and
+// workload sizes are only comparable within one schema and one scale.
+func Compare(baseline, current []byte) ([]string, error) {
+	type report struct {
+		SchemaVersion      int    `json:"schema_version"`
+		Scale              string `json:"scale"`
+		TotalVirtualCycles uint64 `json:"total_virtual_cycles"`
+		Experiments        []struct {
+			Name  string `json:"name"`
+			Table any    `json:"table"`
+		} `json:"experiments"`
+	}
+	var old, new report
+	if err := decodeNumbers(baseline, &old); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	if err := json.Unmarshal(current, &new); err != nil {
+	if err := decodeNumbers(current, &new); err != nil {
 		return nil, fmt.Errorf("current: %w", err)
 	}
-	c := &CompareResult{}
-	drift := func(format string, args ...any) {
-		c.Drift = append(c.Drift, fmt.Sprintf(format, args...))
-	}
-	advise := func(format string, args ...any) {
-		c.Advisory = append(c.Advisory, fmt.Sprintf(format, args...))
-	}
-
 	if old.SchemaVersion != new.SchemaVersion {
 		return nil, fmt.Errorf("schema version mismatch: baseline v%d vs current v%d (refresh the baseline)",
 			old.SchemaVersion, new.SchemaVersion)
@@ -52,95 +38,73 @@ func Compare(baseline, current []byte) (*CompareResult, error) {
 	if old.Scale != new.Scale {
 		return nil, fmt.Errorf("scale mismatch: baseline %q vs current %q", old.Scale, new.Scale)
 	}
-	if old.GoVersion != new.GoVersion {
-		advise("go version: %s -> %s", old.GoVersion, new.GoVersion)
-	}
-	if old.TotalVirtualCycles != new.TotalVirtualCycles {
-		drift("total virtual cycles: %d -> %d (Δ=%+d)",
-			old.TotalVirtualCycles, new.TotalVirtualCycles,
-			int64(new.TotalVirtualCycles)-int64(old.TotalVirtualCycles))
-	}
 
-	newByName := map[string]Experiment{}
-	for _, e := range new.Experiments {
-		newByName[e.Name] = e
+	var drift []string
+	add := func(format string, args ...any) { drift = append(drift, fmt.Sprintf(format, args...)) }
+	if old.TotalVirtualCycles != new.TotalVirtualCycles {
+		add("total virtual cycles: %d -> %d", old.TotalVirtualCycles, new.TotalVirtualCycles)
 	}
-	seen := map[string]bool{}
+	unmatched := map[string]any{}
+	for _, e := range new.Experiments {
+		unmatched[e.Name] = e.Table
+	}
 	for _, oe := range old.Experiments {
-		seen[oe.Name] = true
-		ne, ok := newByName[oe.Name]
+		nt, ok := unmatched[oe.Name]
 		if !ok {
-			drift("experiment %q: present in baseline, missing from current", oe.Name)
+			add("experiment %q: present in baseline, missing from current", oe.Name)
 			continue
 		}
-		compareExperiment(oe, ne, drift, advise)
+		delete(unmatched, oe.Name)
+		diffJSON(oe.Name, oe.Table, nt, add)
 	}
 	for _, ne := range new.Experiments {
-		if !seen[ne.Name] {
-			drift("experiment %q: present in current, missing from baseline", ne.Name)
+		if _, ok := unmatched[ne.Name]; ok {
+			add("experiment %q: present in current, missing from baseline", ne.Name)
 		}
 	}
-	return c, nil
+	return drift, nil
 }
 
-func compareExperiment(old, new Experiment, drift, advise func(string, ...any)) {
-	name := old.Name
-	if old.HostSeconds != new.HostSeconds {
-		advise("%s: host seconds %.2f -> %.2f", name, old.HostSeconds, new.HostSeconds)
-	}
-	ot, nt := old.Table, new.Table
-	if (ot == nil) != (nt == nil) {
-		drift("%s: table presence differs", name)
-		return
-	}
-	if ot == nil {
-		return
-	}
-	if ot.VirtualCycles != nt.VirtualCycles {
-		drift("%s: virtual cycles %d -> %d (Δ=%+d)", name,
-			ot.VirtualCycles, nt.VirtualCycles, int64(nt.VirtualCycles)-int64(ot.VirtualCycles))
-	}
-	rowDiff := hostDependentExperiments[name]
-	report := drift
-	if rowDiff {
-		report = advise
-	}
-	if ot.Title != nt.Title {
-		report("%s: title %q -> %q", name, ot.Title, nt.Title)
-	}
-	if fmt.Sprint(ot.Columns) != fmt.Sprint(nt.Columns) {
-		report("%s: columns %v -> %v", name, ot.Columns, nt.Columns)
-	}
-	if len(ot.Rows) != len(nt.Rows) {
-		report("%s: row count %d -> %d", name, len(ot.Rows), len(nt.Rows))
-	} else {
-		for i := range ot.Rows {
-			if fmt.Sprint(ot.Rows[i]) != fmt.Sprint(nt.Rows[i]) {
-				report("%s row %d: %v -> %v", name, i, ot.Rows[i], nt.Rows[i])
+// decodeNumbers unmarshals JSON keeping numbers as json.Number, so a
+// drifted cycle count prints as the integer it is.
+func decodeNumbers(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	return dec.Decode(v)
+}
+
+// diffJSON walks two decoded JSON values in step and reports each
+// differing leaf by its path (fig5.rows[1][2], fig6.resources.dma_bytes).
+// Objects recurse key by key and equal-length arrays element by
+// element; anything else that differs is reported whole.
+func diffJSON(path string, a, b any, add func(string, ...any)) {
+	switch av := a.(type) {
+	case map[string]any:
+		if bv, ok := b.(map[string]any); ok {
+			var keys []string
+			for k := range av {
+				keys = append(keys, k)
 			}
+			for k := range bv {
+				if _, ok := av[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				diffJSON(path+"."+k, av[k], bv[k], add)
+			}
+			return
+		}
+	case []any:
+		if bv, ok := b.([]any); ok && len(av) == len(bv) {
+			for i := range av {
+				diffJSON(fmt.Sprintf("%s[%d]", path, i), av[i], bv[i], add)
+			}
+			return
 		}
 	}
-	if fmt.Sprint(ot.Notes) != fmt.Sprint(nt.Notes) {
-		report("%s: notes differ", name)
-	}
-	op, np := ot.Prof, nt.Prof
-	switch {
-	case (op == nil) != (np == nil):
-		drift("%s: profile summary presence differs", name)
-	case op != nil && *op != *np:
-		drift("%s: profile summary %+v -> %+v", name, *op, *np)
-	}
-	or, nr := ot.Resources, nt.Resources
-	switch {
-	case (or == nil) != (nr == nil):
-		drift("%s: resource profile presence differs", name)
-	case or != nil && *or != *nr:
-		drift("%s: resource profile %+v -> %+v", name, *or, *nr)
-	}
-	// Latency blocks are pure virtual-time quantities, so any movement
-	// (a shifted percentile, a changed critical-path split) is a real
-	// behavioral drift, never host noise.
-	if fmt.Sprint(ot.Latency) != fmt.Sprint(nt.Latency) {
-		drift("%s: latency block differs:\n  old: %+v\n  new: %+v", name, ot.Latency, nt.Latency)
+	if !reflect.DeepEqual(a, b) {
+		add("%s: %v -> %v", path, a, b)
 	}
 }

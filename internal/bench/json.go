@@ -1,40 +1,30 @@
 package bench
 
-import (
-	"encoding/json"
-	"runtime"
-)
+import "encoding/json"
 
 // ReportSchemaVersion identifies the report layout. Bump it when a
 // field changes meaning so `nova-bench -compare` refuses to diff
 // incompatible artifacts instead of reporting nonsense drift.
-const ReportSchemaVersion = 3 // v3: per-experiment Latency blocks (request-span tails)
+const ReportSchemaVersion = 4 // v4: no host-time fields; every field is simulated
 
 // Report is the machine-readable form of a bench run, written by
 // `nova-bench -out BENCH_<scale>.json`. It carries the same tables the
 // terminal output shows, so CI can archive one artifact per run and
 // diff results across revisions without screen-scraping.
 //
-// Provenance fields split two ways. SchemaVersion, Scale and
-// TotalVirtualCycles are properties of the simulated run and must be
-// bit-stable across hosts; GoVersion and the per-experiment HostSeconds
-// describe the machine that happened to run the benchmark and are
-// advisory only.
+// Every field is a property of the simulated run and bit-stable across
+// hosts. Host speed is perfbench's business, not the report's.
 type Report struct {
 	SchemaVersion      int          `json:"schema_version"`
 	Scale              string       `json:"scale"`
-	GoVersion          string       `json:"go_version"`
 	TotalVirtualCycles uint64       `json:"total_virtual_cycles"`
 	Experiments        []Experiment `json:"experiments"`
 }
 
-// Experiment is one named result table. HostSeconds is the host
-// wall-clock duration of the experiment run — a property of the machine
-// that ran the benchmark, never of the simulated platform.
+// Experiment is one named result table.
 type Experiment struct {
-	Name        string  `json:"name"`
-	Table       *Table  `json:"table"`
-	HostSeconds float64 `json:"host_seconds,omitempty"`
+	Name  string `json:"name"`
+	Table *Table `json:"table"`
 }
 
 // ProfSummary condenses an experiment's guest profile into the report:
@@ -53,15 +43,6 @@ func (r *Report) Add(name string, t *Table) {
 	r.Experiments = append(r.Experiments, Experiment{Name: name, Table: t})
 }
 
-// SetHostSeconds records the host duration of the named experiment.
-func (r *Report) SetHostSeconds(name string, sec float64) {
-	for i := range r.Experiments {
-		if r.Experiments[i].Name == name {
-			r.Experiments[i].HostSeconds = sec
-		}
-	}
-}
-
 // JSON serializes the report, indented, trailing newline included.
 // An empty report encodes as "experiments": [] rather than null.
 // Provenance is stamped here so every written artifact carries it.
@@ -70,7 +51,6 @@ func (r *Report) JSON() ([]byte, error) {
 		r.Experiments = []Experiment{}
 	}
 	r.SchemaVersion = ReportSchemaVersion
-	r.GoVersion = runtime.Version()
 	r.TotalVirtualCycles = 0
 	for _, e := range r.Experiments {
 		if e.Table != nil {

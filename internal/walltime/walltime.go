@@ -2,10 +2,11 @@
 // reads. The simulation proper (internal/hw, internal/hypervisor,
 // internal/vmm, internal/x86, internal/cap) must derive all time from
 // hw.Clock's virtual cycles — nova-vet's determinism analyzer rejects
-// time.Now there — but CLI tools legitimately want to report how long a
-// benchmark run took in host seconds. Importing this package instead of
-// time documents that the measurement is about the host, not the
-// simulated machine, and keeps simulation code grep-clean.
+// time.Now there — but host-side tools legitimately time themselves
+// (nova-vet reports each analyzer's host seconds). Importing this
+// package instead of time documents that the measurement is about the
+// host, not the simulated machine, and keeps simulation code
+// grep-clean.
 package walltime
 
 import "time"
