@@ -276,10 +276,7 @@ msg:
 		fail("start: %v", err)
 	}
 	if obsFile != "" {
-		k.AttachTracer(obsRingCapacity)
-		k.AttachProfiler(obsProfPeriod, 65536)
-		k.AttachStats(stat.DefaultEpochLen)
-		k.AttachSpans(obsRingCapacity)
+		obs.Attach(k, obsRingCapacity, obsProfPeriod, stat.DefaultEpochLen, obsRingCapacity)
 	}
 	k.Run(k.Now() + 500_000_000)
 	fmt.Printf("console: %q\n", m.Console())

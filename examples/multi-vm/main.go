@@ -18,6 +18,7 @@ import (
 	"nova/internal/hypervisor"
 	"nova/internal/obs"
 	"nova/internal/services"
+	"nova/internal/stat"
 	"nova/internal/vmm"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	ds, err := root.StartDiskServer()
 	check(err)
 	if *obsFile != "" {
-		k.AttachStats(0) // per-VM attribution; 0 = default epoch length
+		obs.Attach(k, 0, 0, stat.DefaultEpochLen, 0) // per-VM attribution
 	}
 	k.StartSchedulingTimer(667)
 

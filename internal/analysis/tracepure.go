@@ -10,7 +10,9 @@ import (
 // profile sample must be invisible to the simulation. Three rules:
 //
 //  1. Trace-layer functions — everything declared in a package named
-//     "trace", "prof", "stat" or "span", plus methods on the trace types
+//     "trace", "prof", "stat", "span" or "obs" (which attaches the
+//     recorders and fans the kernel's events out to their
+//     derivations), plus methods on the trace types
 //     (Tracer, Ring, Histogram, CounterSet, Profiler, Buf, the
 //     metric registry's Registry/Metric/Counter/Gauge, and the
 //     interpreter's host-side DecodeCache/Superblock acceleration
@@ -145,11 +147,11 @@ func reportMapRanges(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 }
 
 // isTraceLayerFunc reports whether fn belongs to the trace layer: any
-// function in a package named "trace", "prof", "stat" or "span", or a
-// method on one of the trace types regardless of package.
+// function in a package named "trace", "prof", "stat", "span" or "obs",
+// or a method on one of the trace types regardless of package.
 func isTraceLayerFunc(pkg *Package, fn *types.Func) bool {
 	switch pkg.Types.Name() {
-	case "trace", "prof", "stat", "span":
+	case "trace", "prof", "stat", "span", "obs":
 		return true
 	}
 	return recvIsTraceType(fn)

@@ -4,6 +4,7 @@ import (
 	"nova/internal/cap"
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
+	"nova/internal/obs"
 )
 
 // Fig8Row is one processor's IPC measurement.
@@ -63,7 +64,7 @@ func RunFig8() (*Table, []Fig8Row, error) {
 		// call→reply round trip, and the syscall entry (charged before
 		// the portal path begins) is added back to reconstruct the full
 		// call cost. A call is two one-way transfers (call + reply).
-		tr := k.AttachTracer(16)
+		tr := obs.Attach(k, 16, 0, 0, 0).Tracer
 		const iters = 1000
 		measure := func(sel cap.Selector) (hw.Cycles, error) {
 			msg := &hypervisor.UTCB{Words: []uint64{1, 2}}

@@ -6,11 +6,7 @@ import (
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
 	"nova/internal/obs"
-	"nova/internal/prof"
 	"nova/internal/services"
-	"nova/internal/span"
-	"nova/internal/stat"
-	"nova/internal/trace"
 	"nova/internal/vmm"
 	"nova/internal/x86"
 )
@@ -136,19 +132,9 @@ type Runner struct {
 	// Chunk is the scheduling/polling granularity of RunUntilDone.
 	Chunk hw.Cycles
 
-	// Tracer is the event tracer, set when Cfg.TraceCapacity > 0.
-	Tracer *trace.Tracer
-
-	// Prof is the sampling profiler, set when Cfg.ProfilePeriod > 0.
-	Prof *prof.Profiler
-
-	// Stat is the resource-accounting registry, set when Cfg.StatEpoch
-	// is non-zero.
-	Stat *stat.Registry
-
-	// Spans is the request-span recorder, set when Cfg.SpanCapacity > 0
-	// (virtualized modes only).
-	Spans *span.Recorder
+	// Recorders are the recorders the Cfg fields attached (tracer and
+	// spans in the virtualized modes only).
+	obs.Recorders
 
 	guestBase uint64
 }
@@ -181,12 +167,7 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 			r.BM.Interp.Cache = nil
 		}
 		r.BM.DisableSuperblocks = cfg.DisableSuperblocks
-		if cfg.ProfilePeriod > 0 {
-			r.Prof = r.BM.AttachProfiler(cfg.ProfilePeriod, profileCapacity)
-		}
-		if cfg.StatEpoch != 0 {
-			r.Stat = r.BM.AttachStats(cfg.StatEpoch)
-		}
+		r.Recorders = obs.AttachBareMetal(r.BM, cfg.ProfilePeriod, cfg.StatEpoch)
 		return r, nil
 	}
 
@@ -275,24 +256,9 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 	if err := m.Start(10, 10_000_000); err != nil {
 		return nil, err
 	}
-	if cfg.TraceCapacity > 0 {
-		r.Tracer = k.AttachTracer(cfg.TraceCapacity)
-	}
-	if cfg.ProfilePeriod > 0 {
-		r.Prof = k.AttachProfiler(cfg.ProfilePeriod, profileCapacity)
-	}
-	if cfg.StatEpoch != 0 {
-		r.Stat = k.AttachStats(cfg.StatEpoch)
-	}
-	if cfg.SpanCapacity > 0 {
-		r.Spans = k.AttachSpans(cfg.SpanCapacity)
-	}
+	r.Recorders = obs.Attach(k, cfg.TraceCapacity, cfg.ProfilePeriod, cfg.StatEpoch, cfg.SpanCapacity)
 	return r, nil
 }
-
-// profileCapacity is the per-CPU sample-buffer capacity of an attached
-// profiler.
-const profileCapacity = 65536
 
 // EncodeObs collects every recorder attached to the run into one
 // NOVAOBS1 file (see internal/obs), capturing the code bytes at the
@@ -300,7 +266,7 @@ const profileCapacity = 65536
 // current virtual time. Call it after the run finishes.
 func (r *Runner) EncodeObs() ([]byte, error) {
 	if r.BM != nil {
-		return obs.FromBareMetal(r.BM).Encode()
+		return obs.FromBareMetal(r.BM, r.Stat).Encode()
 	}
 	return obs.FromKernel(r.K, r.VMM.EC).Encode()
 }

@@ -5,7 +5,6 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/prof"
-	"nova/internal/stat"
 	"nova/internal/x86"
 )
 
@@ -19,15 +18,10 @@ type BareMetal struct {
 	State  x86.CPUState
 	Interp *x86.Interp
 
-	// Prof, when attached (AttachProfiler), samples execution on the
+	// Prof, when attached (internal/obs), samples execution on the
 	// virtual-time grid (same zero-perturbation contract as the
-	// kernel's profiler); profRead is its pure stack-walk reader.
-	Prof     *prof.Profiler
-	profRead prof.MemReader
-
-	// Stat, when set, carries the native run's resource accounting
-	// (instruction and device totals; a native run has no exits or IPC).
-	Stat *stat.Registry
+	// kernel's profiler).
+	Prof *prof.Profiler
 
 	// DisableSuperblocks turns off fused superblock execution
 	// (x86.StepBlock) and single-steps every instruction. This is NOT
@@ -35,37 +29,6 @@ type BareMetal struct {
 	// results are bit-identical; the switch exists for the A/B identity
 	// harness and for debugging.
 	DisableSuperblocks bool
-}
-
-// AttachProfiler enables virtual-time sampling on the native run.
-//
-// nocharge: observability plumbing; attaching the profiler models no
-// hardware work and must not move the clock (zero-perturbation rule).
-func (b *BareMetal) AttachProfiler(period uint64, capacity int) *prof.Profiler {
-	b.Prof = prof.New(len(b.Plat.CPUs), period, capacity)
-	b.profRead = profGuestReader(b.Plat.Mem, nil, &b.State)
-	return b.Prof
-}
-
-// AttachStats enables resource accounting on the native run: retired
-// instructions plus the host device-model totals, so native and
-// virtualized profiles of the same workload are directly comparable.
-//
-// nocharge: observability plumbing; attaching the registry models no
-// hardware work and must not move the clock (zero-perturbation rule).
-func (b *BareMetal) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	r := stat.New(epochLen)
-	b.Stat = r
-	r.RegisterSampler(stat.Name("guest_instructions", "vm", "native", "vcpu", "0"),
-		func() uint64 { return b.Interp.InstRet })
-	statDevices(r, b.Plat)
-	return r
-}
-
-// ProfCodeReader returns a pure byte reader over the OS's address
-// space, for Profiler.CaptureCode after a run.
-func (b *BareMetal) ProfCodeReader() func(uint32) (byte, bool) {
-	return profGuestByteReader(b.Plat.Mem, nil, &b.State)
 }
 
 // nativeEnv translates through the OS's own page tables (physical =
@@ -235,7 +198,7 @@ func (b *BareMetal) Run(until hw.Cycles) error {
 			continue
 		}
 		if b.Prof != nil {
-			b.Prof.Tick(0, clk.Now(), prof.ModeGuest, profCtx(&b.State, b.profRead))
+			b.Prof.TickGuest(0, clk.Now(), b.Plat.Mem, nil, &b.State)
 		}
 		max := fuseLimit(b.Plat, b.Interp, b.DisableSuperblocks, pending, clk.Now(), min(until, b.Prof.Next(0)))
 		if err := stepGuest(b.Interp, clk, b.Plat.Cost.InstructionCost, max); err != nil {

@@ -141,7 +141,6 @@ func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
 	end := k.Now()
 	k.Spans.Transition(k.cpu, end, sp, prevSeg)
 	k.Emit(trace.KindIPCReply, pt.UID, uint64(end-t0), crossAS, 0)
-	from.stats.ipc(end, uint64(words))
 	return nil
 }
 

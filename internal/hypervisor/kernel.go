@@ -3,7 +3,6 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nova/internal/cap"
 	"nova/internal/hw"
@@ -55,10 +54,10 @@ type Config struct {
 	// UseVPID enables tagged-TLB use on VM transitions when the CPU
 	// supports it (Figure 5's "EPT with/without VPID" comparison).
 	UseVPID bool
-	// MTDOptimization, when false, transfers the full state on every VM
-	// exit instead of the portal's minimal MTD (ablation of §5.2).
+	// DisableMTDOpt transfers the full state on every VM exit instead
+	// of the portal's minimal MTD (ablation of §5.2).
 	DisableMTDOpt bool
-	// DirectSwitch, when false, routes every portal call through the
+	// DisableDirectSwitch routes every portal call through the
 	// scheduler instead of switching directly on the donated SC
 	// (ablation of the SC-donation design).
 	DisableDirectSwitch bool
@@ -112,58 +111,26 @@ type Kernel struct {
 	// the kernel then keeps its hands off pending interrupts.
 	GuestOwnsPIC bool
 
-	// observed is set once AttachTracer, AttachProfiler or AttachStats
-	// has run: Emit's one branch.
-	observed bool
-
 	// preempt is set when a wakeup makes a higher-priority SC runnable
 	// so the inner execution loops return to the scheduler.
 	preempt bool
 
-	// Tracer, when attached (AttachTracer), records every event passed
-	// to Emit (VM exits, IPC, scheduling, semaphores, vTLB maintenance,
-	// VMM and server events) in dispatch order. Emission never charges
-	// cycles: tracing must not perturb the simulation. The determinism
-	// regression test hashes the event rings: two runs from identical
-	// inputs must produce byte-identical traces, not merely identical
-	// aggregate counts.
-	Tracer *trace.Tracer
+	// Observer, when set, receives every event passed to Emit; the
+	// recorders internal/obs attaches derive what they keep from it.
+	// The recorder handles below serve the observations no event
+	// carries (DESIGN.md §5c). All of them are zero-perturbation:
+	// recording charges nothing, and two observed runs of the same
+	// workload produce byte-identical files.
+	Observer Observer
+	Tracer   *trace.Tracer
+	Prof     *prof.Profiler
+	Stat     *stat.Registry
+	Spans    *span.Recorder
 
-	// Prof, when attached (AttachProfiler), samples guest execution on
-	// the virtual-time grid and receives exact-cost attributions for VM
-	// exits, vTLB fills (both derived at Emit) and emulated
-	// instructions. Same zero-perturbation contract as Tracer: all
-	// recording charges nothing, and two profiled runs of the same
-	// workload must produce byte-identical profiles.
-	Prof *prof.Profiler
-
-	// Stat, when attached (AttachStats), aggregates per-object resource
-	// accounting (exits, IPC, vTLB activity, scheduler consumption)
-	// into virtual-time epochs, mostly derived at Emit. Same
-	// zero-perturbation contract as Tracer and Prof: all recording
-	// charges nothing, and two
-	// accounted runs of the same workload produce byte-identical
-	// snapshots. The cached handles below keep the hot paths free of
-	// name formatting.
-	Stat           *stat.Registry
-	statIPCLatency stat.Histogram
-	statReadyWait  stat.Histogram
-	statRunqDepth  []stat.Gauge
-
-	// Spans, when set, records request-scoped causal spans: a span ID is
-	// assigned at each request origin (vAHCI doorbell, NIC RX harvest,
-	// BIOS INT13, standalone portal calls) and every component boundary
-	// the request crosses records a critical-path segment transition.
-	// Same zero-perturbation contract as Tracer/Prof/Stat: recording is
-	// nil-safe, charges nothing, and two span-recorded runs of the same
-	// workload produce byte-identical span sections.
-	Spans *span.Recorder
-
-	// Kernel-object identity counters: every PD, EC and semaphore gets
-	// a small dense id and every portal a uid, so trace events can name
-	// objects without carrying pointers.
-	nextPDID  int
-	nextECID  int
+	// Kernel-object identity counters: every semaphore gets a small
+	// dense id and every portal a uid (a PD's or an EC's id is its index
+	// in pds or ecs), so trace events can name objects without carrying
+	// pointers.
 	nextSemID int
 	nextPtUID uint64
 }
@@ -204,7 +171,6 @@ func New(plat *hw.Platform, cfg Config) *Kernel {
 
 	root := &PD{
 		Name: "root",
-		ID:   k.allocPDID(),
 		Caps: cap.NewSpace("root"),
 		Mem:  cap.NewMemSpace("root"),
 		IO:   cap.NewIOSpace("root"),
@@ -255,34 +221,9 @@ func New(plat *hw.Platform, cfg Config) *Kernel {
 	return k
 }
 
-// allocPDID/allocECID/allocSemID/allocPtUID hand out trace identities.
-func (k *Kernel) allocPDID() int     { id := k.nextPDID; k.nextPDID++; return id }
-func (k *Kernel) allocECID() int     { id := k.nextECID; k.nextECID++; return id }
+// allocSemID/allocPtUID hand out trace identities.
 func (k *Kernel) allocSemID() int    { id := k.nextSemID; k.nextSemID++; return id }
 func (k *Kernel) allocPtUID() uint64 { id := k.nextPtUID; k.nextPtUID++; return id }
-
-// AttachTracer enables event tracing and metrics with one ring of the
-// given capacity per CPU, and returns the tracer for later rendering.
-//
-// nocharge: observability plumbing; attaching the tracer models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachTracer(capacity int) *trace.Tracer {
-	k.Tracer = trace.New(len(k.Plat.CPUs), capacity)
-	k.observed = true
-	return k.Tracer
-}
-
-// AttachSpans enables request-span recording with one ring of the
-// given capacity per CPU, and returns the recorder for later encoding.
-// Like AttachTracer, attachment is retrofit-able at any point; only
-// requests originating after it are recorded.
-//
-// nocharge: observability plumbing; attaching the recorder models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachSpans(capacity int) *span.Recorder {
-	k.Spans = span.New(len(k.Plat.CPUs), capacity)
-	return k.Spans
-}
 
 // CurCPU returns the CPU whose run loop is active, for trace emission
 // from user-level components (VMM, servers) running on it.
@@ -297,54 +238,40 @@ func (k *Kernel) charge(n hw.Cycles) { k.clock().Charge(n) }
 // Now returns the active CPU's time.
 func (k *Kernel) Now() hw.Cycles { return k.clock().Now() }
 
+// Observer receives the kernel's events (see trace.Kind for each
+// payload), stamped with the active CPU and its virtual time. It must
+// not charge cycles, mutate guest-visible state or read the wall clock.
+type Observer interface {
+	Observe(cpu int, now hw.Cycles, kind trace.Kind, a0, a1, a2, a3 uint64)
+}
+
 // Emit is the one observation call of every event site in the kernel,
-// the VMMs and the servers. It stamps the active CPU and its virtual
-// time and hands the event to each attached recorder; every metric a
-// recorder keeps about the event is derived here from the payload (see
-// trace.Kind for its layout). With nothing attached it costs one
-// predictable branch.
+// the VMMs and the servers: it hands the event to the observer. With
+// nothing attached it costs one predictable branch.
 func (k *Kernel) Emit(kind trace.Kind, a0, a1, a2, a3 uint64) {
-	if k.observed {
-		k.observe(kind, a0, a1, a2, a3)
+	if k.Observer != nil {
+		k.Observer.Observe(k.cpu, k.Now(), kind, a0, a1, a2, a3)
 	}
 }
 
-func (k *Kernel) observe(kind trace.Kind, a0, a1, a2, a3 uint64) {
-	now := k.Now()
-	k.Tracer.Emit(k.cpu, now, kind, a0, a1, a2, a3)
-	if k.Stat != nil {
-		k.statEvent(now, kind, a0, a1, a2)
-	}
-	if k.Prof != nil {
-		k.profEvent(now, kind, a1, a2)
-	}
-}
-
-// pdByID and ecByID resolve an event payload's object id. Ids are
-// handed out in creation order, so the registries are sorted by id.
-func (k *Kernel) pdByID(id uint64) *PD {
-	i := sort.Search(len(k.pds), func(i int) bool { return uint64(k.pds[i].ID) >= id })
-	if i < len(k.pds) && uint64(k.pds[i].ID) == id {
-		return k.pds[i]
+// PDByID and ECByID resolve the object id an event payload carries
+// (nil if none has it). Ids are handed out densely in creation order.
+func (k *Kernel) PDByID(id uint64) *PD {
+	if id < uint64(len(k.pds)) {
+		return k.pds[id]
 	}
 	return nil
 }
 
-func (k *Kernel) ecByID(id uint64) *EC {
-	i := sort.Search(len(k.ecs), func(i int) bool { return uint64(k.ecs[i].ID) >= id })
-	if i < len(k.ecs) && uint64(k.ecs[i].ID) == id {
-		return k.ecs[i]
+func (k *Kernel) ECByID(id uint64) *EC {
+	if id < uint64(len(k.ecs)) {
+		return k.ecs[id]
 	}
 	return nil
 }
 
-// vcpuByID is ecByID for events about a vCPU; nil if id names none.
-func (k *Kernel) vcpuByID(id uint64) *VCPU {
-	if ec := k.ecByID(id); ec != nil {
-		return ec.VCPU
-	}
-	return nil
-}
+// RunqLen returns the number of scheduling contexts ready on cpu.
+func (k *Kernel) RunqLen(cpu int) int { return k.runq[cpu].count }
 
 // ChargeUser accounts user-level compute time (VMM emulation, device
 // model updates, server work) on the active CPU. In a real system this
@@ -403,23 +330,21 @@ func (k *Kernel) CreatePD(caller *PD, sel cap.Selector, name string, isVM bool) 
 		return nil, err
 	}
 	pd := &PD{
-		Name: name,
-		ID:   k.allocPDID(),
-		Caps: cap.NewSpace(name),
-		Mem:  cap.NewMemSpace(name),
-		IO:   cap.NewIOSpace(name),
-		IsVM: isVM,
-		Tag:  k.nextTag,
+		Name:    name,
+		Caps:    cap.NewSpace(name),
+		Mem:     cap.NewMemSpace(name),
+		IO:      cap.NewIOSpace(name),
+		IsVM:    isVM,
+		Tag:     k.nextTag,
+		creator: caller,
 	}
 	k.nextTag++
 	if err := caller.Caps.Insert(sel, pd, cap.RightsAll); err != nil {
 		return nil, err
 	}
+	pd.ID = len(k.pds)
 	// caphold: kernel PD registry for domain accounting; DestroyPD marks entries dead; teardown=DestroyPD
 	k.pds = append(k.pds, pd)
-	if k.Stat != nil {
-		k.attachStatPD(pd)
-	}
 	return pd, nil
 }
 
@@ -436,15 +361,11 @@ func (k *Kernel) CreateEC(caller *PD, sel cap.Selector, pd *PD, cpu int, name st
 	if cpu < 0 || cpu >= len(k.Plat.CPUs) {
 		return nil, ErrBadCPU
 	}
-	ec := &EC{Name: name, ID: k.allocECID(), PD: pd, CPU: cpu, Kind: ECThread, UTCB: &UTCB{}, Run: run}
+	ec := &EC{Name: name, PD: pd, CPU: cpu, Kind: ECThread, UTCB: &UTCB{}, Run: run}
 	if err := caller.Caps.Insert(sel, ec, cap.RightsAll); err != nil {
 		return nil, err
 	}
-	// caphold: kernel EC registry, walked to kill a domain's ECs; teardown=DestroyPD
-	k.ecs = append(k.ecs, ec)
-	if k.Stat != nil {
-		k.attachStatEC(ec)
-	}
+	k.register(ec)
 	return ec, nil
 }
 
@@ -465,7 +386,7 @@ func (k *Kernel) CreateVCPU(caller *PD, sel cap.Selector, vm *PD, cpu int, name 
 	if !vm.IsVM {
 		return nil, fmt.Errorf("hypervisor: %s is not a VM domain", vm.Name)
 	}
-	ec := &EC{Name: name, ID: k.allocECID(), PD: vm, CPU: cpu, Kind: ECVCPU, UTCB: &UTCB{}}
+	ec := &EC{Name: name, PD: vm, CPU: cpu, Kind: ECVCPU, UTCB: &UTCB{}}
 	v := &VCPU{Index: index}
 	v.State.Reset()
 	ic := x86.FullVirt()
@@ -485,17 +406,19 @@ func (k *Kernel) CreateVCPU(caller *PD, sel cap.Selector, vm *PD, cpu int, name 
 		v.Interp.Cache = x86.NewDecodeCache()
 	}
 	v.Interp.TSC = func() uint64 { return uint64(k.Plat.CPUs[cpu].Clock.Now()) }
-	v.profRead = profGuestReader(k.Plat.Mem, vm, &v.State)
 	ec.VCPU = v
 	if err := caller.Caps.Insert(sel, ec, cap.RightsAll); err != nil {
 		return nil, err
 	}
+	k.register(ec)
+	return ec, nil
+}
+
+// register gives a created EC its id and enters it in the registry.
+func (k *Kernel) register(ec *EC) {
+	ec.ID = len(k.ecs)
 	// caphold: kernel EC registry, walked to kill a domain's ECs; teardown=DestroyPD
 	k.ecs = append(k.ecs, ec)
-	if k.Stat != nil {
-		k.attachStatEC(ec)
-	}
-	return ec, nil
 }
 
 // CreateSC creates a scheduling context attached to ec and enqueues it.
@@ -690,8 +613,9 @@ func (k *Kernel) wakeVCPU(ec *EC) {
 
 // DestroyPD tears a protection domain down: its capability, memory and
 // I/O spaces are destroyed (revoking everything it delegated and
-// refusing later delegation into them), and its ECs killed. The creator
-// uses this to reclaim a crashed VMM or VM.
+// refusing later delegation into them), and its ECs killed. The domains
+// it created go with it, recursively: their only capability lived in
+// its space. The creator uses this to reclaim a crashed VMM or VM.
 func (k *Kernel) DestroyPD(caller *PD, pd *PD) error {
 	if err := k.syscallEnter(caller); err != nil {
 		return err
@@ -699,6 +623,20 @@ func (k *Kernel) DestroyPD(caller *PD, pd *PD) error {
 	if _, err := caller.Caps.LookupObj(pd, cap.ObjPD, cap.RightCtrl); err != nil {
 		return err
 	}
+	errs := k.destroy(pd)
+	// A creator precedes its domains in pds, so one pass reaches every
+	// descendant.
+	for _, p := range k.pds {
+		if !p.dead && p.creator != nil && p.creator.dead {
+			errs = errors.Join(errs, k.destroy(p))
+		}
+	}
+	return errs
+}
+
+// destroy tears down one domain: its spaces, its ECs and the interrupt
+// routes into it.
+func (k *Kernel) destroy(pd *PD) error {
 	pd.dead = true
 	errs := pd.Caps.Destroy()
 	pd.Mem.Destroy()

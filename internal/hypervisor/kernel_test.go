@@ -318,3 +318,60 @@ func TestDelegateIntoDestroyedPD(t *testing.T) {
 		t.Errorf("destroyed PD holds %d pages and %d ports", pd.Mem.Len(), pd.IO.Len())
 	}
 }
+
+// liveObjects counts the live PDs and ECs through the lookups the
+// kernel_objects sampler reads (PDByID, ECByID, Dead).
+func liveObjects(k *Kernel) (pds, ecs int) {
+	for id := uint64(0); k.PDByID(id) != nil; id++ {
+		if !k.PDByID(id).Dead() {
+			pds++
+		}
+	}
+	for id := uint64(0); k.ECByID(id) != nil; id++ {
+		if !k.ECByID(id).Dead() {
+			ecs++
+		}
+	}
+	return pds, ecs
+}
+
+// TestDestroyPDDestroysCreatedDomains: a VM and vCPU that a VMM created
+// held their only capability in the VMM's space, so destroying the VMM
+// destroys them too instead of leaving live, unreachable objects.
+func TestDestroyPDDestroysCreatedDomains(t *testing.T) {
+	k := newTestKernel(t, Config{})
+	bootPDs, bootECs := liveObjects(k)
+	vmm, err := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), "vmm", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateMem(k.Root, 0x400, vmm, 0x400, 8, cap.RightsAll); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := k.CreatePD(vmm, vmm.Caps.AllocSel(), "vm", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateMem(vmm, 0x400, vm, 0, 8, cap.RightsAll); err != nil {
+		t.Fatal(err)
+	}
+	vcpu, err := k.CreateVCPU(vmm, vmm.Caps.AllocSel(), vm, 0, "vcpu", ModeEPT, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.Mem.Len() != 8 {
+		t.Fatalf("VM holds %d pages, want 8", vm.Mem.Len())
+	}
+	if err := k.DestroyPD(k.Root, vmm); err != nil {
+		t.Fatal(err)
+	}
+	if !vm.Dead() || !vcpu.Dead() {
+		t.Errorf("after destroying its creator: VM dead %v, vCPU dead %v", vm.Dead(), vcpu.Dead())
+	}
+	if vm.Caps.Len() != 0 || vm.Mem.Len() != 0 || vm.IO.Len() != 0 {
+		t.Errorf("destroyed VM holds %d caps, %d pages, %d ports", vm.Caps.Len(), vm.Mem.Len(), vm.IO.Len())
+	}
+	if pds, ecs := liveObjects(k); pds != bootPDs || ecs != bootECs {
+		t.Errorf("live objects %d PDs, %d ECs; at boot %d, %d", pds, ecs, bootPDs, bootECs)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"nova/internal/cap"
 	"nova/internal/hw"
-	"nova/internal/prof"
 	"nova/internal/x86"
 )
 
@@ -35,15 +34,18 @@ type PD struct {
 	// (Figure 5's small-vs-large host page comparison).
 	HostLargePages bool
 
-	// stats caches this domain's resource-accounting handles (set when
-	// a stat registry attaches; nil means accounting is off).
-	stats *pdStats
+	// creator is the domain whose space received the capability this
+	// one was created with (nil for the root PD).
+	creator *PD
 
 	dead bool
 }
 
 // ObjectType implements cap.Object.
 func (p *PD) ObjectType() cap.ObjType { return cap.ObjPD }
+
+// Dead reports whether the domain was destroyed.
+func (p *PD) Dead() bool { return p.dead }
 
 func (p *PD) String() string { return fmt.Sprintf("pd:%s", p.Name) }
 
@@ -91,15 +93,14 @@ type EC struct {
 	runnable  bool
 	waitingOn *Semaphore
 
-	// stats caches this EC's scheduler accounting handles (set when a
-	// stat registry attaches; nil means accounting is off).
-	stats *ecStats
-
 	dead bool
 }
 
 // ObjectType implements cap.Object.
 func (e *EC) ObjectType() cap.ObjType { return cap.ObjEC }
+
+// Dead reports whether the EC was killed or its domain destroyed.
+func (e *EC) Dead() bool { return e.dead }
 
 func (e *EC) String() string { return fmt.Sprintf("ec:%s", e.Name) }
 
@@ -219,18 +220,6 @@ type VCPU struct {
 
 	// vTLB state (only used in shadow-paging mode).
 	Shadow *ShadowPT
-
-	// profRead is the host-side pure memory reader the profiler's
-	// stack walker uses for this vCPU (never touches guest-visible
-	// state); exitRIP/exitDef32 pin the instruction that took the
-	// current VM exit for the profiler's exit attribution.
-	profRead  prof.MemReader
-	exitRIP   uint32
-	exitDef32 bool
-
-	// stats caches this vCPU's resource-accounting handles (set when a
-	// stat registry attaches; nil means accounting is off).
-	stats *vcpuStats
 }
 
 // TotalExits sums all exit reasons.

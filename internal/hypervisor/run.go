@@ -5,6 +5,7 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/prof"
+	"nova/internal/stat"
 	"nova/internal/trace"
 	"nova/internal/x86"
 )
@@ -95,7 +96,7 @@ func (k *Kernel) Run(until hw.Cycles) string {
 			start := clk.Now()
 			k.runVCPU(ec, deadline)
 			used := clk.Now() - start
-			ec.stats.ran(clk.Now(), uint64(used))
+			stat.SchedCycles(k.Stat, ec.Name, clk.Now(), uint64(used))
 			if used >= sc.Left {
 				sc.Left = sc.Quantum // fresh quantum, back of the level
 			} else {
@@ -249,7 +250,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 		}
 
 		if k.Prof != nil {
-			k.Prof.Tick(k.cpu, clk.Now(), prof.ModeGuest, profCtx(&v.State, v.profRead))
+			k.Prof.TickGuest(k.cpu, clk.Now(), k.Plat.Mem, ec.PD.Mem, &v.State)
 		}
 		max := fuseLimit(k.Plat, v.Interp, k.Cfg.DisableSuperblocks, pending || v.RecallPending || v.PendingValid,
 			clk.Now(), min(deadline, k.Prof.Next(k.cpu)))

@@ -81,8 +81,7 @@ func FromKernel(k *hypervisor.Kernel, guest *hypervisor.EC) *File {
 	}
 	if k.Prof != nil {
 		if guest != nil {
-			read := k.ProfCodeReader(guest)
-			k.Prof.CaptureCode(hotSites, read)
+			k.Prof.CaptureCode(hotSites, prof.Reader(k.Plat.Mem, guest.PD.Mem, &guest.VCPU.State))
 		}
 		f.Prof = k.Prof.Data()
 	}
@@ -93,15 +92,15 @@ func FromKernel(k *hypervisor.Kernel, guest *hypervisor.EC) *File {
 	return f
 }
 
-// FromBareMetal collects the recorders attached to a native run.
-func FromBareMetal(b *hypervisor.BareMetal) *File {
+// FromBareMetal collects the recorders attached to a native run, its
+// stat registry st included.
+func FromBareMetal(b *hypervisor.BareMetal, st *stat.Registry) *File {
 	f := &File{Run: header(b.Plat, false)}
 	if b.Prof != nil {
-		read := b.ProfCodeReader()
-		b.Prof.CaptureCode(hotSites, read)
+		b.Prof.CaptureCode(hotSites, prof.Reader(b.Plat.Mem, nil, &b.State))
 		f.Prof = b.Prof.Data()
 	}
-	f.Stat = b.Stat.Snapshot(b.Plat.BootCPU().Clock.Now())
+	f.Stat = st.Snapshot(b.Plat.BootCPU().Clock.Now())
 	return f
 }
 

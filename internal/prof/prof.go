@@ -22,7 +22,9 @@
 package prof
 
 import (
+	"nova/internal/cap"
 	"nova/internal/hw"
+	"nova/internal/x86"
 )
 
 // Mode classifies where the sampled virtual time was spent — the
@@ -228,22 +230,43 @@ func New(cpus int, period uint64, capacity int) *Profiler {
 // weighted by the number of crossings. Run loops invoke it before each
 // step or fused run; virtually all calls return after one compare.
 func (p *Profiler) Tick(cpu int, now hw.Cycles, mode Mode, g GuestCtx) {
-	if p == nil || cpu < 0 || cpu >= len(p.bufs) {
-		return
+	if w := p.due(cpu, now); w > 0 {
+		p.record(cpu, now, w, mode, g)
+	}
+}
+
+// TickGuest is Tick for guest execution: the sample context, stack walk
+// included, is built from the guest's CPU state st and its memory (see
+// Reader) only when a grid point was crossed.
+func (p *Profiler) TickGuest(cpu int, now hw.Cycles, mem *hw.Memory, space *cap.MemSpace, st *x86.CPUState) {
+	if w := p.due(cpu, now); w > 0 {
+		p.record(cpu, now, w, ModeGuest, Ctx(st, Reader(mem, space, st)))
+	}
+}
+
+// due advances cpu's sampling grid to now and returns how many grid
+// points were crossed since the last call (zero: no sample is due).
+func (p *Profiler) due(cpu int, now hw.Cycles) uint64 {
+	if p == nil || cpu < 0 || cpu >= len(p.next) {
+		return 0
 	}
 	next := p.next[cpu]
 	if next == 0 {
 		// First observation on this CPU: anchor the grid.
 		p.next[cpu] = now + hw.Cycles(p.Meta.Period)
-		return
+		return 0
 	}
 	if now < next {
-		return
+		return 0
 	}
 	period := hw.Cycles(p.Meta.Period)
 	weight := uint64((now-next)/period) + 1
 	p.next[cpu] = next + hw.Cycles(weight)*period
+	return weight
+}
 
+// record stores one sample standing for weight grid points.
+func (p *Profiler) record(cpu int, now hw.Cycles, weight uint64, mode Mode, g GuestCtx) {
 	r := rec{time: now, weight: weight, mode: mode, def32: g.Def32}
 	if g.Read != nil {
 		var out [MaxFrames]uint32
@@ -272,22 +295,7 @@ func (p *Profiler) Next(cpu int) hw.Cycles {
 // SkipIdle advances cpu's sampling grid past an idle period (HLT, event
 // waits) without recording: idle virtual time belongs to no code
 // address. Grid points crossed while idle are simply dropped.
-func (p *Profiler) SkipIdle(cpu int, now hw.Cycles) {
-	if p == nil || cpu < 0 || cpu >= len(p.next) {
-		return
-	}
-	next := p.next[cpu]
-	if next == 0 {
-		p.next[cpu] = now + hw.Cycles(p.Meta.Period)
-		return
-	}
-	if now < next {
-		return
-	}
-	period := hw.Cycles(p.Meta.Period)
-	crossed := uint64((now-next)/period) + 1
-	p.next[cpu] = next + hw.Cycles(crossed)*period
-}
+func (p *Profiler) SkipIdle(cpu int, now hw.Cycles) { p.due(cpu, now) }
 
 // Attribute adds one virtualization event of the given kind at the
 // guest linear address rip, carrying its exact modeled cost.
@@ -358,9 +366,10 @@ type CodeSite struct {
 const maxInstBytes = 15
 
 // CaptureCode snapshots up to maxInstBytes of code at each of the topN
-// hottest addresses, through a pure byte reader (same contract as
-// MemReader). Call it when the run has finished, before encoding.
-func (p *Profiler) CaptureCode(topN int, read func(va uint32) (byte, bool)) {
+// hottest addresses, through a pure reader (each byte is taken from the
+// aligned word holding it, which lies in the byte's page). Call it when
+// the run has finished, before encoding.
+func (p *Profiler) CaptureCode(topN int, read MemReader) {
 	if p == nil || read == nil {
 		return
 	}
@@ -369,11 +378,12 @@ func (p *Profiler) CaptureCode(topN int, read func(va uint32) (byte, bool)) {
 		var buf [maxInstBytes]byte
 		n := 0
 		for n < maxInstBytes {
-			b, ok := read(h.Addr + uint32(n))
+			va := h.Addr + uint32(n)
+			w, ok := read(va &^ 3)
 			if !ok {
 				break
 			}
-			buf[n] = b
+			buf[n] = byte(w >> (8 * (va & 3)))
 			n++
 		}
 		if n == 0 {

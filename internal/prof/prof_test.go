@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	p.Tick(0, 100, ModeGuest, GuestCtx{})
 	p.SkipIdle(0, 100)
 	p.Attribute(AttribExit, 0, false, 1)
-	p.CaptureCode(4, func(uint32) (byte, bool) { return 0, false })
+	p.CaptureCode(4, func(uint32) (uint32, bool) { return 0, false })
 	if d := p.Data(); len(d.Samples) != 0 {
 		t.Fatal("nil profiler produced sample data")
 	}
@@ -130,9 +131,9 @@ func populated(t *testing.T) *Profiler {
 	p.Attribute(AttribExit, 0x8001, true, 400)
 	p.Attribute(AttribEmulate, 0x9000, false, 450)
 	code := []byte{0x90, 0xc3}
-	p.CaptureCode(4, func(va uint32) (byte, bool) {
+	p.CaptureCode(4, func(va uint32) (uint32, bool) {
 		if int(va-0x8000) < len(code)*1000 {
-			return code[va%2], true
+			return binary.LittleEndian.Uint32([]byte{code[0], code[1], code[0], code[1]}), true
 		}
 		return 0, false
 	})

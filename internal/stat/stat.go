@@ -152,11 +152,9 @@ func (h Histogram) Observe(now hw.Cycles, v uint64) {
 	h.m.bump(now, 1, false)
 }
 
-// sampler is one pull-mode metric: a closure read at snapshot time.
-type sampler struct {
-	name string
-	fn   func() uint64
-}
+// sampler is a family of pull-mode metrics: read at snapshot time, it
+// reports each of its series through add.
+type sampler func(add func(name string, v uint64))
 
 // Registry is the metrics sink for one machine. All methods are
 // nil-safe so instrumented code needs no enablement checks: a nil
@@ -232,15 +230,15 @@ func (r *Registry) Add(name string, now hw.Cycles, n uint64) {
 	Counter{m: r.metric(name, KindCounter)}.Add(now, n)
 }
 
-// RegisterSampler registers a pull-mode metric: fn is invoked once per
-// Snapshot and must be a pure read of host-side state (live object
-// counts, device model totals). It must not charge cycles or mutate
-// anything.
-func (r *Registry) RegisterSampler(name string, fn func() uint64) {
+// RegisterSampler registers a family of pull-mode metrics: fn is
+// invoked once per Snapshot and reports each series through add. It
+// must be a pure read of host-side state (live object counts, device
+// model totals): it must not charge cycles or mutate anything.
+func (r *Registry) RegisterSampler(fn func(add func(name string, v uint64))) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.samplers = append(r.samplers, sampler{name: name, fn: fn})
+	r.samplers = append(r.samplers, fn)
 }
 
 // Name formats a metric name as family{k="v",...} from alternating
@@ -296,10 +294,8 @@ func (r *Registry) Snapshot(finalCycles hw.Cycles) *Data {
 		d.Metrics = append(d.Metrics, md)
 	}
 	for _, s := range r.samplers {
-		d.Metrics = append(d.Metrics, MetricData{
-			Name:  s.name,
-			Kind:  KindSample.String(),
-			Total: s.fn(),
+		s(func(name string, v uint64) {
+			d.Metrics = append(d.Metrics, MetricData{Name: name, Kind: KindSample.String(), Total: v})
 		})
 	}
 	sort.Slice(d.Metrics, func(i, j int) bool { return d.Metrics[i].Name < d.Metrics[j].Name })

@@ -16,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("b").Set(2, 2)
 	r.Histogram("c").Observe(3, 3)
 	r.Add("d", 4, 4)
-	r.RegisterSampler("e", func() uint64 { return 5 })
+	r.RegisterSampler(func(add func(string, uint64)) { add("e", 5) })
 	if r.Snapshot(100) != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
@@ -109,7 +109,7 @@ func TestZeroCountersDropped(t *testing.T) {
 func TestSamplers(t *testing.T) {
 	r := New(100)
 	live := uint64(7)
-	r.RegisterSampler("objects", func() uint64 { return live })
+	r.RegisterSampler(func(add func(string, uint64)) { add("objects", live) })
 	d := r.Snapshot(10)
 	if len(d.Metrics) != 1 || d.Metrics[0].Kind != "sample" || d.Metrics[0].Total != 7 {
 		t.Fatalf("sampler not captured: %+v", d.Metrics)
@@ -134,7 +134,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r.Counter(Name("exits", "vm", "a")).Add(10, 3)
 	r.Gauge("depth").Set(20, 5)
 	r.Histogram("lat").Observe(30, 1234)
-	r.RegisterSampler("objs", func() uint64 { return 2 })
+	r.RegisterSampler(func(add func(string, uint64)) { add("objs", 2) })
 	d := r.Snapshot(500)
 	b, err := d.MarshalBinary()
 	if err != nil {

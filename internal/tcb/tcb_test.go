@@ -111,3 +111,21 @@ func TestFormatOutput(t *testing.T) {
 		t.Error("live section missing")
 	}
 }
+
+// microhypervisorBudget caps the live Microhypervisor code count. The
+// paper's Figure 1 argument is that the privileged component stays
+// small — anything not needed for isolation lives outside it — so the
+// count may shrink but not grow; lower the cap when it shrinks.
+const microhypervisorBudget = 2253
+
+func TestMicrohypervisorBudget(t *testing.T) {
+	res, err := CountRepo(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Component == "Microhypervisor" && r.Code > microhypervisorBudget {
+			t.Errorf("Microhypervisor has %d code lines, over its budget of %d", r.Code, microhypervisorBudget)
+		}
+	}
+}

@@ -47,7 +47,9 @@ const (
 	// A0=caller PD id.
 	KindHypercall
 	// KindIPCCall: a portal traversal began (SC donation, Figure 3).
-	// A0=portal uid, A1=payload words, A2=1 if cross-address-space.
+	// A0=portal uid, A1=payload words, A2=1 if cross-address-space. It
+	// is the next event after the hypercall or VM exit that made the
+	// call on the same CPU, which names the caller.
 	KindIPCCall
 	// KindIPCReply: the portal's reply capability was invoked.
 	// A0=portal uid, A1=call-to-reply cycles, A2=1 if cross-AS.

@@ -105,10 +105,10 @@ func (e *emuEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {}
 func (m *VMM) emulate(msg *hypervisor.UTCB) error {
 	m.Stats.Emulated++
 	m.count(m.statNames.emulated, 1)
+	// The profiler attributes this charge to the emitted instruction
+	// (prof.Attribution).
 	m.K.Emit(trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
 	m.K.ChargeUser(m.K.Plat.Cost.EmulateInstruction)
-	m.K.ProfEmulate(msg.State.Seg[x86.CS].Base+msg.State.EIP, msg.State.Seg[x86.CS].Def32,
-		m.K.Plat.Cost.EmulateInstruction)
 
 	// The emulator is a full interpreter instance over the emulation
 	// environment; guest state comes from (and returns to) the exit

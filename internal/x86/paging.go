@@ -18,6 +18,11 @@ type PhysMem interface {
 	WritePhys32(pa uint64, v uint32) bool
 }
 
+// PhysReader is the read half of PhysMem: all ProbeGuest needs.
+type PhysReader interface {
+	ReadPhys32(pa uint64) (uint32, bool)
+}
+
 // Walk is the result of a successful page-table walk.
 type Walk struct {
 	PA       uint64 // translated physical address
@@ -89,4 +94,22 @@ func WalkGuest(mem PhysMem, cr3, cr4, va uint32, write, wp, setAD bool) (Walk, *
 	w.User = pde&PTEUser != 0 && pte&PTEUser != 0
 	w.Global = pte&PTEGlobal != 0
 	return w, nil
+}
+
+// ProbeGuest translates va like a read-only WalkGuest (write, wp and
+// setAD false) and returns the physical address, for observers: it
+// only reads mem, so no accessed or dirty bit moves because one looked.
+func ProbeGuest(mem PhysReader, cr3, cr4, va uint32) (uint64, bool) {
+	pde, ok := mem.ReadPhys32(uint64(cr3&^0xfff) + uint64(va>>22)*4)
+	if !ok || pde&PTEPresent == 0 {
+		return 0, false
+	}
+	if pde&PTELarge != 0 && cr4&CR4PSE != 0 {
+		return uint64(pde&0xffc00000) + uint64(va&0x3fffff), true
+	}
+	pte, ok := mem.ReadPhys32(uint64(pde&^0xfff) + uint64(va>>12&0x3ff)*4)
+	if !ok || pte&PTEPresent == 0 {
+		return 0, false
+	}
+	return uint64(pte&^0xfff) + uint64(va&0xfff), true
 }

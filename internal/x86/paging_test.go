@@ -161,3 +161,39 @@ func TestWalkGuestOffsetPreservedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProbeGuestMatchesReadOnlyWalk checks the observers' probe against
+// WalkGuest with write, wp and setAD false over random page tables
+// (random PDE/PTE words, with and without CR4.PSE), and that it leaves
+// memory untouched.
+func TestProbeGuestMatchesReadOnlyWalk(t *testing.T) {
+	m := &ptMem{b: make([]byte, 1<<16)}
+	f := func(pdes, ptes [4]uint32, vas [8]uint32, pse bool) bool {
+		clear(m.b)
+		for i := range pdes {
+			// PDEs 0-3 at 0x1000; their tables (if small) inside RAM.
+			m.put32(0x1000+uint64(i)*4, pdes[i]&^0xfffff000|uint32(i+2)<<12)
+			m.put32(uint64(i+2)<<12+uint64(ptes[i]>>22&0x3ff)*4, ptes[i])
+		}
+		before := append([]byte(nil), m.b...)
+		cr4 := uint32(0)
+		if pse {
+			cr4 = CR4PSE
+		}
+		for j, va := range vas {
+			va &= 0x00ffffff       // directories 0-3
+			if i := j % 4; j < 4 { // hit the PTE written for directory i
+				va = uint32(i)<<22 | ptes[i]>>22&0x3ff<<12 | va&0xfff
+			}
+			w, exc := WalkGuest(m, 0x1000, cr4, va, false, false, false)
+			pa, ok := ProbeGuest(m, 0x1000, cr4, va)
+			if ok != (exc == nil) || ok && pa != w.PA {
+				return false
+			}
+		}
+		return string(before) == string(m.b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
