@@ -8,7 +8,8 @@
 //
 // Exit codes form a contract for CI and tooling: 0 means the tree is
 // clean, 1 means findings were reported, 2 means the suite itself
-// could not run (load or type-check error, bad usage).
+// could not run (load or type-check error, bad usage, or an analysis
+// fixpoint that did not converge).
 //
 // The analyzers (internal/analysis) enforce what the compiler cannot:
 // determinism of the cycle-accounted simulation, the hypercall
@@ -16,11 +17,13 @@
 // points, panic-freedom of shared kernel/device paths, exhaustive
 // dispatch over VM-exit style enums, the guest-taint trust boundary
 // (no guest-controlled value reaching an index, length, shift or
-// physical address unchecked), and machine-state isolation for the
-// parallel multi-VM engine: package-level vars must be init-only or
-// audited (globalstate), the per-machine step path may write only
+// physical address unchecked), and the isolation of machines that
+// share one process: package-level vars must be init-only or audited
+// (globalstate), the per-machine step path may write only
 // machine-reachable state (isolation), and concurrency primitives are
-// banned outside the // epoch-barrier: gate (concurrency).
+// banned outside the // epoch-barrier: gate (concurrency). The
+// interprocedural analyzers share one call graph and one dataflow
+// engine.
 package main
 
 import (

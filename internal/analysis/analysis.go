@@ -65,12 +65,14 @@ type Analyzer struct {
 }
 
 // Run executes the analyzer over the target packages and returns its
-// diagnostics sorted by position.
-func (a *Analyzer) Run(prog *Program, targets []*Package) []Diagnostic {
+// diagnostics sorted by position. The error reports an analysis
+// fixpoint over the program that did not converge: the diagnostics are
+// then incomplete and the suite itself has failed.
+func (a *Analyzer) Run(prog *Program, targets []*Package) ([]Diagnostic, error) {
 	pass := &Pass{Prog: prog, Targets: targets, analyzer: a}
 	a.run(pass)
 	sortDiags(pass.diags)
-	return pass.diags
+	return pass.diags, prog.err
 }
 
 func sortDiags(ds []Diagnostic) {

@@ -79,37 +79,47 @@ func fixtureExpectations(prog *Program, pkg *Package) []expectation {
 	return exps
 }
 
+// fixtureCases pairs each analyzer with its testdata fixture package.
+var fixtureCases = []struct {
+	analyzer *Analyzer
+	dir      string
+}{
+	{Determinism, "determinism"},
+	{Capcheck, "capcheck"},
+	{Capflow, "capflow"},
+	{Chargecheck, "chargecheck"},
+	{Nopanic, "nopanic"},
+	{Exhaustive, "exhaustive"},
+	{Taint, "taint"},
+	{Tracepure, "tracepure"},
+	{Globalstate, "globalstate"},
+	{Isolation, "isolation"},
+	{Concurrency, "concurrency"},
+}
+
+// loadFixture loads one testdata fixture package.
+func loadFixture(t *testing.T, dir string) (*Program, *Package) {
+	t.Helper()
+	root := repoRoot(t)
+	prog, err := LoadDirs(root, []string{filepath.Join(root, "internal", "analysis", "testdata", "src", dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, prog.Pkgs[0]
+}
+
 // TestAnalyzersOnFixtures runs each analyzer over its testdata fixture
 // package and requires an exact match between reported diagnostics and
 // the `// want "..."` comments: every seeded violation is caught, and
 // nothing else is flagged.
 func TestAnalyzersOnFixtures(t *testing.T) {
-	root := repoRoot(t)
-	cases := []struct {
-		analyzer *Analyzer
-		dir      string
-	}{
-		{Determinism, "determinism"},
-		{Capcheck, "capcheck"},
-		{Capflow, "capflow"},
-		{Chargecheck, "chargecheck"},
-		{Nopanic, "nopanic"},
-		{Exhaustive, "exhaustive"},
-		{Taint, "taint"},
-		{Tracepure, "tracepure"},
-		{Globalstate, "globalstate"},
-		{Isolation, "isolation"},
-		{Concurrency, "concurrency"},
-	}
-	for _, tc := range cases {
+	for _, tc := range fixtureCases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
-			dir := filepath.Join(root, "internal", "analysis", "testdata", "src", tc.dir)
-			prog, err := LoadDirs(root, []string{dir})
+			prog, pkg := loadFixture(t, tc.dir)
+			diags, err := tc.analyzer.Run(prog, []*Package{pkg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pkg := prog.Pkgs[0]
-			diags := tc.analyzer.Run(prog, []*Package{pkg})
 			exps := fixtureExpectations(prog, pkg)
 			if len(exps) == 0 {
 				t.Fatalf("fixture %s has no want comments", tc.dir)
@@ -135,6 +145,36 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			for i, d := range diags {
 				if !matched[i] {
 					t.Errorf("unexpected diagnostic: %s", d)
+				}
+			}
+		})
+	}
+}
+
+// TestDiagnosticsDeterministic re-runs every analyzer on its loaded
+// fixture program, recomputing the shared effect summaries each time,
+// and requires byte-identical diagnostics: Go's randomised map order
+// must not reach a finding or the path that explains it.
+func TestDiagnosticsDeterministic(t *testing.T) {
+	const runs = 8
+	for _, tc := range fixtureCases {
+		t.Run(tc.analyzer.Name, func(t *testing.T) {
+			prog, pkg := loadFixture(t, tc.dir)
+			var first string
+			for i := 0; i < runs; i++ {
+				prog.eff = nil
+				diags, err := tc.analyzer.Run(prog, []*Package{pkg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, d := range diags {
+					b.WriteString(d.String() + "\n")
+				}
+				if i == 0 {
+					first = b.String()
+				} else if b.String() != first {
+					t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, b.String(), first)
 				}
 			}
 		})

@@ -39,53 +39,43 @@ import (
 // validation the body performs) and flags direct capability-space
 // mutations outside the Kernel/cap layer as hypercall bypasses.
 //
-// Dataflow model, shared with the effects engine's philosophy: values
-// are tracked at levels — direct (the object itself), capResult (a
-// Capability struct whose .Obj is the object), carrier (a struct or
-// slice holding the object), graph (storage merely reachable from the
-// object) — and call sites compose per-function flow summaries
-// (escapes, invocations, result flows) built on the shared call graph,
-// while state writes are mapped through the shared write-effect
-// summaries. Function literals are skipped (closures are not tracked);
-// cap-package functions and Space/MemSpace/IOSpace methods record no
-// escapes (the mapping database is the revocation-tracked holder of
-// capability references, not a lifetime leak).
+// Dataflow model: capflow is a policy of the shared dataflow engine
+// (flow.go). Values are tracked at levels — direct (the object itself),
+// capResult (a Capability struct whose .Obj is the object), carrier (a
+// struct or slice holding the object), graph (storage merely reachable
+// from the object) — and call sites compose per-function flow summaries
+// (escapes, invocations, result flows), solved in the engine's rounds
+// over every function a hypercall reaches, while state writes are
+// mapped through the shared write-effect summaries. Function literals
+// are skipped (closures are not tracked); cap-package functions and
+// Space/MemSpace/IOSpace methods record no escapes (the mapping
+// database is the revocation-tracked holder of capability references,
+// not a lifetime leak).
 var Capflow = &Analyzer{
 	Name: "capflow",
 	Doc:  "hypercalls must exercise exactly the rights they demand and may not retain looked-up objects without an audited teardown",
 	run:  runCapflow,
 }
 
-// trackLevel orders how directly a value exposes a tracked object.
-// Composition takes the minimum: reading a field of a carrier yields at
-// most graph-level reachability, never the object itself.
-type trackLevel uint8
-
+// Tracking levels, ordered by how directly a value exposes a tracked
+// object. Composition takes the minimum: reading a field of a carrier
+// yields at most graph-level reachability, never the object itself.
 const (
-	lvlNone trackLevel = iota
 	// lvlGraph: storage reachable from the object (sm.waiters, ec.VCPU).
-	lvlGraph
+	lvlGraph level = iota + 1
 	// lvlCarrier: a struct/slice/map holding a reference to the object.
 	lvlCarrier
 	// lvlCapResult: a cap.Capability whose Obj field is the object.
 	lvlCapResult
-	// lvlDirect: the object reference itself.
-	lvlDirect
+	// lvlDirect (flow.go): the object reference itself.
 )
 
-func minLvl(a, b trackLevel) trackLevel {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// flowInput identifies a function's receiver or parameter in a flow
-// summary; parameters are indexed like effects regions (receiver
-// excluded, unnamed params counted).
-type flowInput struct {
-	recv  bool
-	param int
+// capKey is what a capflow value tracks: a root of the hypercall under
+// check, or (root == nil) an input of a summarized function — its
+// receiver (in == -1) or parameter in.
+type capKey struct {
+	root *capRoot
+	in   int
 }
 
 // capRoot is one tracked origin inside a hypercall frame: a capability
@@ -118,31 +108,6 @@ type capEscape struct {
 	dest string
 }
 
-// valSet maps tracked origins (*capRoot in hypercall frames, flowInput
-// in summary frames) to the level at which a value exposes them.
-type valSet map[any]trackLevel
-
-func (vs valSet) add(key any, l trackLevel) bool {
-	if l == lvlNone {
-		return false
-	}
-	if cur, ok := vs[key]; ok && cur >= l {
-		return false
-	}
-	vs[key] = l
-	return true
-}
-
-func (vs valSet) join(other valSet) bool {
-	changed := false
-	for k, l := range other {
-		if vs.add(k, l) {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // flow summaries -----------------------------------------------------------
 
 type escTargetKind uint8
@@ -153,38 +118,35 @@ const (
 	escParam
 )
 
-// flowEsc: input `in` is stored into state that outlives the function.
-type flowEsc struct {
-	in     flowInput
+// flowFact is one caller-visible fact of a summary: input `in` is
+// invoked through (inv), or stored into state that outlives the
+// function (an escape to tkind/tparam).
+type flowFact struct {
+	in     int
+	inv    bool
 	tkind  escTargetKind
 	tparam int
 	pos    token.Pos
-	path   []string
-}
-
-// flowInv: the function calls through input `in` (method or func field).
-type flowInv struct {
-	in   flowInput
-	pos  token.Pos
-	path []string
 }
 
 // flowSummary is the capflow-side per-function summary, complementing
-// the write-effect summary: where may inputs escape to, which inputs
-// are invoked through, and which inputs flow into each result.
+// the write-effect summary and the engine's result values: where may
+// inputs escape to, and which inputs are invoked through. Each fact
+// keeps the first call chain that explained it, for display.
 type flowSummary struct {
-	escapes []flowEsc
-	invokes []flowInv
-	results []map[flowInput]trackLevel
+	facts []flowFact
+	paths [][]string
+	seen  map[flowFact]bool
 }
 
-const maxFlowPath = 12
-
-func appendPath(path []string, name string) []string {
-	if len(path) >= maxFlowPath {
-		return path
+func (s *flowSummary) add(f flowFact, path []string) bool {
+	if s.seen[f] {
+		return false
 	}
-	return append(append([]string{}, path...), name)
+	s.seen[f] = true
+	s.facts = append(s.facts, f)
+	s.paths = append(s.paths, path)
+	return true
 }
 
 // chainSuffix renders an innermost-first call chain outermost-first for
@@ -206,9 +168,17 @@ type capflowState struct {
 	prog  *Program
 	cg    *CallGraph
 	eff   *Effects
+	fl    *flow[capKey]
 	sums  map[*types.Func]*flowSummary
-	busy  map[*types.Func]bool
 	reach map[*types.Func]bool // functions reachable from a destruction root
+	hc    *hypercall           // the hypercall under check; nil while summarizing
+}
+
+// hypercall is the tracking state of one hypercall frame.
+type hypercall struct {
+	lookups   map[*ast.CallExpr]*capRoot
+	creations map[*ast.CompositeLit]*capRoot
+	roots     []*capRoot
 }
 
 func runCapflow(pass *Pass) {
@@ -217,9 +187,10 @@ func runCapflow(pass *Pass) {
 		cg:   pass.Prog.CallGraph(),
 		eff:  pass.Prog.Effects(),
 		sums: make(map[*types.Func]*flowSummary),
-		busy: make(map[*types.Func]bool),
 	}
+	st.fl = newFlow[capKey](pass.Prog, st, true)
 	st.computeDestroyReach()
+	var hypercalls []*FuncNode
 	for _, pkg := range pass.Targets {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -227,14 +198,52 @@ func runCapflow(pass *Pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if isHypercallMethod(pkg, fd) {
-					st.checkHypercall(pass, pkg, fd)
-				} else {
+				if !isHypercallMethod(pkg, fd) {
 					st.checkDirectMutation(pass, pkg, fd)
+				} else if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && st.cg.Node(fn) != nil {
+					hypercalls = append(hypercalls, st.cg.Node(fn))
 				}
 			}
 		}
 	}
+	nodes := st.summarized(hypercalls)
+	for _, n := range nodes {
+		st.sums[n.Fn] = &flowSummary{seen: make(map[flowFact]bool)}
+	}
+	st.fl.solve(nodes)
+	for _, node := range hypercalls {
+		st.checkHypercall(pass, node)
+	}
+}
+
+// summarized lists, in call-graph order, the functions the hypercalls
+// call outside function literals, transitively: the ones whose flow
+// summaries the checks consult. summaryExempt functions keep a bottom
+// summary and are not entered.
+func (st *capflowState) summarized(hypercalls []*FuncNode) []*FuncNode {
+	seen := make(map[*types.Func]bool)
+	queue := append([]*FuncNode(nil), hypercalls...)
+	for ; len(queue) > 0; queue = queue[1:] {
+		ast.Inspect(queue[0].Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				for _, c := range st.cg.CalleesAt(call) {
+					if node := st.cg.Node(c); node != nil && !seen[c] && !summaryExempt(c) {
+						seen[c] = true
+						queue = append(queue, node)
+					}
+				}
+			}
+			_, lit := n.(*ast.FuncLit)
+			return !lit
+		})
+	}
+	var out []*FuncNode
+	for _, n := range st.cg.Ordered {
+		if seen[n.Fn] {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // destruction roots --------------------------------------------------------
@@ -372,194 +381,58 @@ func summaryExempt(fn *types.Func) bool {
 	return false
 }
 
-func (st *capflowState) summaryOf(fn *types.Func) *flowSummary {
-	if s, ok := st.sums[fn]; ok {
-		return s
-	}
-	if st.busy[fn] {
-		return &flowSummary{} // recursion: one empty round, callers re-run never
-	}
-	node := st.cg.Node(fn)
-	if node == nil || summaryExempt(fn) {
-		s := &flowSummary{}
-		st.sums[fn] = s
-		return s
-	}
-	st.busy[fn] = true
-	fr := st.newFrame(node, false)
-	fr.propagate()
-	fr.collect()
-	delete(st.busy, fn)
-	st.sums[fn] = fr.sum
-	return fr.sum
-}
-
-// frames -------------------------------------------------------------------
-
-type flowFrame struct {
-	st    *capflowState
-	node  *FuncNode
-	pkg   *Package
-	info  *types.Info
-	hyper bool
-
-	env       map[types.Object]valSet
-	recvVar   types.Object
-	paramVars []types.Object
-
-	lookups   map[*ast.CallExpr]*capRoot
-	creations map[*ast.CompositeLit]*capRoot
-	roots     []*capRoot // hypercall mode
-
-	sum *flowSummary // summary mode
-}
-
-func (st *capflowState) newFrame(node *FuncNode, hyper bool) *flowFrame {
-	fr := &flowFrame{
-		st:        st,
-		node:      node,
-		pkg:       node.Pkg,
-		info:      node.Pkg.Info,
-		hyper:     hyper,
-		env:       make(map[types.Object]valSet),
-		lookups:   make(map[*ast.CallExpr]*capRoot),
-		creations: make(map[*ast.CompositeLit]*capRoot),
-	}
-	fd := node.Decl
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		fr.recvVar = fr.info.Defs[fd.Recv.List[0].Names[0]]
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			for len(fr.paramVars) <= idx {
-				fr.paramVars = append(fr.paramVars, nil)
-			}
-			fr.paramVars[idx] = fr.info.Defs[name]
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	if !hyper {
-		fr.sum = &flowSummary{}
-		if sig, ok := node.Fn.Type().(*types.Signature); ok {
-			fr.sum.results = make([]map[flowInput]trackLevel, sig.Results().Len())
-			for i := range fr.sum.results {
-				fr.sum.results[i] = make(map[flowInput]trackLevel)
-			}
-		}
-		if fr.recvVar != nil {
-			fr.env[fr.recvVar] = valSet{flowInput{recv: true}: lvlDirect}
-		}
-		for i, p := range fr.paramVars {
-			if p != nil {
-				fr.env[p] = valSet{flowInput{param: i}: lvlDirect}
-			}
-		}
-	}
-	return fr
-}
-
-func (fr *flowFrame) paramIndex(obj types.Object) int {
-	for i, p := range fr.paramVars {
-		if p != nil && obj == p {
-			return i
-		}
-	}
-	return -1
-}
-
-// inspectBody walks the function body, skipping function literals:
-// closures are not tracked (stores inside them are charged to nothing),
-// which is conservative in neither direction but keeps the model small;
-// the kernel stores closures only as handlers, never capability refs.
-func (fr *flowFrame) inspectBody(visit func(ast.Node) bool) {
-	ast.Inspect(fr.node.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return visit(n)
-	})
-}
-
 // scanLookups finds the hypercall's capability validations: Lookup /
 // LookupTyped / LookupObj calls on a Space reached from the calling
 // PD's own fields. Each becomes a tracked root.
-func (fr *flowFrame) scanLookups() {
-	callerVar := fr.paramVars[0]
-	fr.inspectBody(func(n ast.Node) bool {
+func (st *capflowState) scanLookups(fr *frame[capKey]) {
+	callerVar := fr.params[0]
+	fr.inspect(func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
-			return true
+			return
 		}
 		op := sel.Sel.Name
 		if op != "Lookup" && op != "LookupTyped" && op != "LookupObj" {
-			return true
+			return
 		}
-		if typeNameOf(fr.info, sel.X) != "Space" {
-			return true
+		if typeNameOf(fr.info, sel.X) != "Space" || callerVar == nil || baseIdentObj(fr.info, sel.X) != callerVar {
+			return
 		}
-		if baseIdentObj(fr.info, sel.X) != callerVar || callerVar == nil {
-			return true
-		}
+		root := &capRoot{pos: call.Pos(), param: -1, objType: -1}
 		switch op {
-		case "LookupObj": // (obj, type, need): validates a parameter by identity
+		case "LookupObj", "LookupTyped": // (obj or sel, type, need)
 			if len(call.Args) != 3 {
-				return true
+				return
 			}
+			t, tok := foldInt(fr.info, call.Args[1])
+			r, rok := foldInt(fr.info, call.Args[2])
+			root.needKnown = tok && rok
+			if tok {
+				root.objType = t
+			}
+			if rok {
+				root.need = cap.Rights(r)
+			}
+		case "Lookup": // (sel): untyped — lifetime rule only
+			root.bare = true
+		}
+		if op == "LookupObj" { // validates a parameter by identity
 			id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 			if !ok {
-				return true
+				return
 			}
 			obj := fr.info.ObjectOf(id)
-			idx := fr.paramIndex(obj)
-			if idx < 0 {
-				return true
+			if root.param = fr.paramIndex(obj); root.param < 0 {
+				return
 			}
-			t, tok := foldInt(fr.info, call.Args[1])
-			r, rok := foldInt(fr.info, call.Args[2])
-			root := &capRoot{pos: call.Pos(), param: idx, objType: -1, needKnown: tok && rok}
-			if tok {
-				root.objType = t
-			}
-			if rok {
-				root.need = cap.Rights(r)
-			}
-			fr.roots = append(fr.roots, root)
-			fr.lookups[call] = root
-			set, ok := fr.env[obj]
-			if !ok {
-				set = make(valSet)
-				fr.env[obj] = set
-			}
-			set.add(root, lvlDirect)
-		case "LookupTyped": // (sel, type, need): selector-based validation
-			if len(call.Args) != 3 {
-				return true
-			}
-			t, tok := foldInt(fr.info, call.Args[1])
-			r, rok := foldInt(fr.info, call.Args[2])
-			root := &capRoot{pos: call.Pos(), param: -1, objType: -1, needKnown: tok && rok}
-			if tok {
-				root.objType = t
-			}
-			if rok {
-				root.need = cap.Rights(r)
-			}
-			fr.roots = append(fr.roots, root)
-			fr.lookups[call] = root
-		case "Lookup": // (sel): untyped — lifetime rule only
-			root := &capRoot{pos: call.Pos(), param: -1, objType: -1, bare: true}
-			fr.roots = append(fr.roots, root)
-			fr.lookups[call] = root
+			fr.bind(id, vals[capKey]{{root: root}: lvlDirect})
 		}
-		return true
+		st.hc.roots = append(st.hc.roots, root)
+		st.hc.lookups[call] = root
 	})
 }
 
@@ -570,324 +443,123 @@ var kernelObjectTypes = map[string]bool{
 	"PD": true, "EC": true, "SC": true, "Portal": true, "Semaphore": true,
 }
 
-func (fr *flowFrame) creationRoot(lit *ast.CompositeLit) *capRoot {
-	if !fr.hyper {
+func (st *capflowState) creationRoot(fr *frame[capKey], lit *ast.CompositeLit) *capRoot {
+	if st.hc == nil {
 		return nil
 	}
-	if root, ok := fr.creations[lit]; ok {
+	if root, ok := st.hc.creations[lit]; ok {
 		return root
 	}
-	tv, ok := fr.info.Types[lit]
-	if !ok || tv.Type == nil {
-		return nil
+	var root *capRoot
+	if named, ok := fr.info.TypeOf(lit).(*types.Named); ok && kernelObjectTypes[named.Obj().Name()] {
+		root = &capRoot{pos: lit.Pos(), param: -2, objType: -1, creation: true}
+		st.hc.roots = append(st.hc.roots, root)
 	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || !kernelObjectTypes[named.Obj().Name()] {
-		fr.creations[lit] = nil
-		return nil
-	}
-	root := &capRoot{pos: lit.Pos(), param: -2, objType: -1, creation: true}
-	fr.creations[lit] = root
-	fr.roots = append(fr.roots, root)
+	st.hc.creations[lit] = root
 	return root
 }
 
-// value evaluation ---------------------------------------------------------
+// the capflow policy -------------------------------------------------------
 
-func (fr *flowFrame) eval(expr ast.Expr) valSet {
-	if tv, ok := fr.info.Types[expr]; ok && tv.Type != nil {
-		if _, basic := tv.Type.Underlying().(*types.Basic); basic {
-			return nil // scalar copy severs tracking
-		}
+func (st *capflowState) input(i int) capKey { return capKey{in: i} }
+
+func (st *capflowState) inputOf(k capKey) (int, bool) { return k.in, k.root == nil }
+
+// expr: a scalar copy severs tracking; a field read exposes the object
+// graph (except Capability.Obj, which IS the object); a composite
+// literal carries what it holds, and a kernel-object literal in a
+// hypercall is a creation root.
+func (st *capflowState) expr(fr *frame[capKey], e ast.Expr) (vals[capKey], bool) {
+	if isBasicExpr(fr.info, e) {
+		return nil, true
 	}
-	switch e := expr.(type) {
-	case *ast.Ident:
-		if set, ok := fr.env[fr.info.ObjectOf(e)]; ok {
-			return set
-		}
-	case *ast.ParenExpr:
-		return fr.eval(e.X)
-	case *ast.StarExpr:
-		return fr.eval(e.X)
-	case *ast.UnaryExpr:
-		return fr.eval(e.X)
-	case *ast.TypeAssertExpr:
-		return fr.eval(e.X)
-	case *ast.SliceExpr:
-		return fr.eval(e.X)
+	switch e := e.(type) {
 	case *ast.SelectorExpr:
-		inner := fr.eval(e.X)
-		if len(inner) == 0 {
-			return nil
-		}
-		out := make(valSet)
-		for k, l := range inner {
+		out := vals[capKey]{}
+		for k, l := range fr.eval(e.X) {
 			if l == lvlCapResult && e.Sel.Name == "Obj" {
-				out.add(k, lvlDirect) // Capability.Obj IS the object
+				out.add(k, lvlDirect)
 			} else {
 				out.add(k, lvlGraph)
 			}
 		}
-		return out
-	case *ast.IndexExpr:
-		inner := fr.eval(e.X)
-		out := make(valSet)
-		for k, l := range inner {
-			if l == lvlCarrier {
-				out.add(k, lvlCarrier) // element of a holding container
-			} else {
-				out.add(k, lvlGraph)
-			}
-		}
-		return out
+		return out, true
 	case *ast.CompositeLit:
-		out := make(valSet)
-		if root := fr.creationRoot(e); root != nil {
-			out.add(root, lvlDirect)
+		out := vals[capKey]{}
+		if root := st.creationRoot(fr, e); root != nil {
+			out.add(capKey{root: root}, lvlDirect)
 		}
 		for _, el := range e.Elts {
-			v := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				v = kv.Value
+				el = kv.Value
 			}
-			for k, l := range fr.eval(v) {
-				out.add(k, minLvl(l, lvlCarrier))
-			}
+			out.join(fr.eval(el).capped(lvlCarrier))
 		}
-		return out
-	case *ast.CallExpr:
-		return fr.evalCall(e)
+		return out, true
 	}
-	return nil
+	return nil, false
 }
 
-func (fr *flowFrame) evalCall(call *ast.CallExpr) valSet {
-	if root, ok := fr.lookups[call]; ok {
-		return valSet{root: lvlCapResult}
-	}
-	if tv, ok := fr.info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return fr.eval(call.Args[0]) // conversion
-		}
-		return nil
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := fr.info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "append" {
-				out := make(valSet)
-				for _, a := range call.Args {
-					out.join(fr.eval(a))
-				}
-				return out
-			}
-			return nil
+// elem: an element of a holding container is still a carrier; of
+// anything else, merely reachable.
+func (st *capflowState) elem(v vals[capKey]) vals[capKey] {
+	out := vals[capKey]{}
+	for k, l := range v {
+		if l == lvlCarrier {
+			out.add(k, lvlCarrier)
+		} else {
+			out.add(k, lvlGraph)
 		}
 	}
-	callees := fr.st.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		// Unknown callee: the result may carry any argument/receiver.
-		out := make(valSet)
+	return out
+}
+
+// callee: a lookup yields the Capability; an unresolved call's result
+// may carry any argument or the receiver, as a carrier; a function
+// without a body in the program carries nothing.
+func (st *capflowState) callee(fr *frame[capKey], call *ast.CallExpr, c *types.Func, out []vals[capKey]) bool {
+	if root := st.lookupAt(call); root != nil {
+		out[0].add(capKey{root: root}, lvlCapResult)
+		return true
+	}
+	if c == nil {
+		v := vals[capKey]{}
 		for _, a := range call.Args {
-			for k, l := range fr.eval(a) {
-				out.add(k, minLvl(l, lvlCarrier))
-			}
+			v.join(fr.eval(a).capped(lvlCarrier))
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			for k, l := range fr.eval(sel.X) {
-				out.add(k, minLvl(l, lvlCarrier))
-			}
+			v.join(fr.eval(sel.X).capped(lvlCarrier))
 		}
-		return out
-	}
-	out := make(valSet)
-	for _, callee := range callees {
-		sum := fr.st.summaryOf(callee)
-		if sum == nil || len(sum.results) == 0 {
-			continue
-		}
-		out.join(fr.mapResult(call, callee, sum.results[0]))
-	}
-	return out
-}
-
-func (fr *flowFrame) mapResult(call *ast.CallExpr, callee *types.Func, res map[flowInput]trackLevel) valSet {
-	out := make(valSet)
-	for in, lvl := range res {
-		for k, al := range fr.inputValue(call, in) {
-			out.add(k, minLvl(al, lvl))
-		}
-	}
-	return out
-}
-
-// inputValue evaluates the caller-side expression feeding a callee
-// input: the method receiver or the positional argument (with the
-// variadic tail collapsing onto the last argument, like the effects
-// engine).
-func (fr *flowFrame) inputValue(call *ast.CallExpr, in flowInput) valSet {
-	if in.recv {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return fr.eval(sel.X)
-		}
-		return nil
-	}
-	if in.param >= 0 && in.param < len(call.Args) {
-		return fr.eval(call.Args[in.param])
-	}
-	if len(call.Args) > 0 && in.param >= len(call.Args) {
-		return fr.eval(call.Args[len(call.Args)-1])
-	}
-	return nil
-}
-
-// propagation --------------------------------------------------------------
-
-const maxFlowRounds = 30
-
-func (fr *flowFrame) propagate() {
-	if fr.hyper {
-		fr.scanLookups()
-	}
-	for round := 0; round < maxFlowRounds; round++ {
-		if !fr.propagateOnce() {
-			break
-		}
-	}
-}
-
-func (fr *flowFrame) propagateOnce() bool {
-	changed := false
-	fr.inspectBody(func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			sets := fr.evalRHSList(n.Lhs, n.Rhs)
-			for i, lhs := range n.Lhs {
-				if fr.bindLHS(lhs, sets[i]) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				lhs := make([]ast.Expr, len(vs.Names))
-				for i, name := range vs.Names {
-					lhs[i] = name
-				}
-				sets := fr.evalRHSList(lhs, vs.Values)
-				for i, name := range vs.Names {
-					if fr.bindLHS(name, sets[i]) {
-						changed = true
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				inner := fr.eval(n.X)
-				out := make(valSet)
-				for k, l := range inner {
-					if l == lvlCarrier {
-						out.add(k, lvlCarrier)
-					} else {
-						out.add(k, lvlGraph)
-					}
-				}
-				if fr.bindLHS(n.Value, out) {
-					changed = true
-				}
-			}
+		for _, o := range out {
+			o.join(v)
 		}
 		return true
-	})
-	return changed
+	}
+	return st.cg.Node(c) == nil
 }
 
-func (fr *flowFrame) evalRHSList(lhs, rhs []ast.Expr) []valSet {
-	out := make([]valSet, len(lhs))
-	if len(rhs) == 1 && len(lhs) > 1 {
-		call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr)
-		if !ok {
-			out[0] = fr.eval(rhs[0]) // v, ok := x.(T) / m[k]
-			return out
-		}
-		if root, ok := fr.lookups[call]; ok {
-			out[0] = valSet{root: lvlCapResult} // Capability result; error slot untracked
-			return out
-		}
-		for _, callee := range fr.st.cg.CalleesAt(call) {
-			sum := fr.st.summaryOf(callee)
-			if sum == nil || len(sum.results) != len(lhs) {
-				continue
-			}
-			for i := range out {
-				mapped := fr.mapResult(call, callee, sum.results[i])
-				if out[i] == nil {
-					out[i] = mapped
-				} else {
-					out[i].join(mapped)
-				}
-			}
-		}
-		return out
+func (st *capflowState) lookupAt(call *ast.CallExpr) *capRoot {
+	if st.hc == nil {
+		return nil
 	}
-	for i := range lhs {
-		if i < len(rhs) {
-			out[i] = fr.eval(rhs[i])
-		}
-	}
-	return out
+	return st.hc.lookups[call]
 }
 
-// bindLHS merges a value's tracking into an assignment target. A plain
-// local identifier takes the set directly; a store through a local's
-// field makes that local a carrier of the stored roots (stashing an EC
-// in a local struct keeps the EC tracked when the struct later
-// escapes). Stores through the receiver or globals are not bindings —
-// they are escapes, handled by collect.
-func (fr *flowFrame) bindLHS(lhs ast.Expr, set valSet) bool {
-	if len(set) == 0 {
-		return false
+// bind: a store through a local's field makes that local a carrier of
+// the stored roots (stashing an EC in a local struct keeps the EC
+// tracked when the struct later escapes). Stores through the receiver
+// or globals are not bindings — they are escapes, found by collect.
+func (st *capflowState) bind(fr *frame[capKey], obj types.Object, v vals[capKey], via storeVia) vals[capKey] {
+	if pv, ok := obj.(*types.Var); obj == fr.recv || ok && isPackageLevelVar(pv) {
+		return nil
 	}
-	chained := false
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := fr.info.ObjectOf(x)
-			if obj == nil || x.Name == "_" || obj == fr.recvVar {
-				return false
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return false
-			}
-			cur, ok := fr.env[obj]
-			if !ok {
-				cur = make(valSet)
-				fr.env[obj] = cur
-			}
-			if !chained {
-				return cur.join(set)
-			}
-			capped := make(valSet)
-			for k, l := range set {
-				capped.add(k, minLvl(l, lvlCarrier))
-			}
-			return cur.join(capped)
-		case *ast.SelectorExpr:
-			e, chained = x.X, true
-		case *ast.IndexExpr:
-			e, chained = x.X, true
-		case *ast.StarExpr:
-			e, chained = x.X, true
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
+	if via != viaNone {
+		return v.capped(lvlCarrier)
 	}
+	return v
 }
+
+func (st *capflowState) stmt(*frame[capKey], ast.Node) bool { return false }
 
 // collection ---------------------------------------------------------------
 
@@ -896,7 +568,7 @@ type targetKind uint8
 
 const (
 	tgtNone targetKind = iota
-	tgtRecv             // the frame's receiver: kernel state in a hypercall
+	tgtRecv            // the frame's receiver: kernel state in a hypercall
 	tgtGlobal
 	tgtTracked // hypercall mode: an object the hypercall validated
 	tgtParam
@@ -908,90 +580,59 @@ type storeTarget struct {
 	param int
 }
 
-func (fr *flowFrame) classifyTarget(expr ast.Expr) storeTarget {
-	e := ast.Unparen(expr)
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := fr.info.ObjectOf(x)
-			if obj == nil {
-				return storeTarget{kind: tgtNone}
-			}
-			if obj == fr.recvVar {
-				return storeTarget{kind: tgtRecv}
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return storeTarget{kind: tgtGlobal}
-			}
-			if !fr.hyper {
-				if idx := fr.paramIndex(obj); idx >= 0 {
-					return storeTarget{kind: tgtParam, param: idx}
-				}
-			}
-			if set, ok := fr.env[obj]; ok {
-				for _, l := range set {
-					if l == lvlDirect {
-						return storeTarget{kind: tgtTracked}
-					}
-				}
-			}
-			if fr.hyper {
-				if idx := fr.paramIndex(obj); idx >= 0 {
-					return storeTarget{kind: tgtParam, param: idx}
-				}
-			}
-			return storeTarget{kind: tgtLocal}
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return storeTarget{kind: tgtNone}
+func (st *capflowState) classifyTarget(fr *frame[capKey], expr ast.Expr) storeTarget {
+	obj := baseIdentObj(fr.info, expr)
+	switch v, _ := obj.(*types.Var); {
+	case obj == nil:
+		return storeTarget{kind: tgtNone}
+	case obj == fr.recv:
+		return storeTarget{kind: tgtRecv}
+	case v != nil && isPackageLevelVar(v):
+		return storeTarget{kind: tgtGlobal}
+	}
+	idx := fr.paramIndex(obj)
+	if st.hc == nil && idx >= 0 {
+		return storeTarget{kind: tgtParam, param: idx}
+	}
+	for _, l := range fr.env[obj] {
+		if l == lvlDirect {
+			return storeTarget{kind: tgtTracked}
 		}
 	}
+	if idx >= 0 {
+		return storeTarget{kind: tgtParam, param: idx}
+	}
+	return storeTarget{kind: tgtLocal}
 }
 
-func (fr *flowFrame) collect() {
-	fr.inspectBody(func(n ast.Node) bool {
+// collect records, against the settled environment, the operations on
+// and escapes of tracked references; in a summary frame it reports
+// whether the summary grew.
+func (st *capflowState) collect(fr *frame[capKey]) bool {
+	grew := false
+	fr.inspect(func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
-				for i, lhs := range n.Lhs {
-					fr.collectWrite(lhs)
-					fr.collectEscape(lhs, fr.rhsFor(n, i), n.Pos())
+				for i, v := range fr.assigned(n) {
+					st.collectWrite(fr, n.Lhs[i])
+					grew = st.collectEscape(fr, n.Lhs[i], v, n.Pos()) || grew
 				}
 			}
 		case *ast.IncDecStmt:
-			fr.collectWrite(n.X)
+			st.collectWrite(fr, n.X)
 		case *ast.CallExpr:
-			fr.collectCall(n)
-		case *ast.ReturnStmt:
-			fr.collectReturn(n)
+			grew = st.collectCall(fr, n) || grew
 		}
-		return true
 	})
-}
-
-func (fr *flowFrame) rhsFor(n *ast.AssignStmt, i int) valSet {
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		sets := fr.evalRHSList(n.Lhs, n.Rhs)
-		return sets[i]
-	}
-	if i < len(n.Rhs) {
-		return fr.eval(n.Rhs[i])
-	}
-	return nil
+	return grew
 }
 
 // collectWrite records a state write through a tracked value: the
 // written storage is whatever the chain base reaches (field, element or
 // pointee), so direct- and graph-level roots get a write operation;
 // carriers do not (writing next to an object is not writing it).
-func (fr *flowFrame) collectWrite(lhs ast.Expr) {
+func (st *capflowState) collectWrite(fr *frame[capKey], lhs ast.Expr) {
 	var base ast.Expr
 	switch x := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
@@ -1005,7 +646,7 @@ func (fr *flowFrame) collectWrite(lhs ast.Expr) {
 	}
 	for k, l := range fr.eval(base) {
 		if l == lvlDirect || l == lvlGraph {
-			fr.onWrite(k, lhs.Pos(), nil)
+			st.onWrite(k, lhs.Pos(), nil)
 		}
 	}
 }
@@ -1013,129 +654,121 @@ func (fr *flowFrame) collectWrite(lhs ast.Expr) {
 // collectEscape records stores of tracked references (direct, carrier
 // or capability level — graph-level reachability is not a retained
 // reference) into state that outlives the call.
-func (fr *flowFrame) collectEscape(lhs ast.Expr, rhs valSet, pos token.Pos) {
-	esc := make(valSet)
-	for k, l := range rhs {
-		if l >= lvlCarrier {
-			esc.add(k, l)
-		}
-	}
+func (st *capflowState) collectEscape(fr *frame[capKey], lhs ast.Expr, rhs vals[capKey], pos token.Pos) bool {
+	esc := retained(rhs)
 	if len(esc) == 0 {
-		return
+		return false
 	}
 	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 		if v, ok := fr.info.ObjectOf(id).(*types.Var); ok && isPackageLevelVar(v) {
-			fr.escapeTo(storeTarget{kind: tgtGlobal}, esc, pos, nil)
+			return st.escapeTo(fr, storeTarget{kind: tgtGlobal}, esc, pos, nil)
 		}
-		return // plain local assignment: a binding, not an escape
+		return false // plain local assignment: a binding, not an escape
 	}
-	fr.escapeTo(fr.classifyTarget(lhs), esc, pos, nil)
+	return st.escapeTo(fr, st.classifyTarget(fr, lhs), esc, pos, nil)
+}
+
+// retained keeps the keys a value holds as a reference: carrier level
+// or above.
+func retained(v vals[capKey]) vals[capKey] {
+	out := vals[capKey]{}
+	for k, l := range v {
+		if l >= lvlCarrier {
+			out.add(k, l)
+		}
+	}
+	return out
 }
 
 // escapeTo dispatches escaping roots against a classified store target.
 // path is the call chain for escapes mapped from callee summaries (nil
 // for stores in this frame's own body).
-func (fr *flowFrame) escapeTo(tgt storeTarget, roots valSet, pos token.Pos, path []string) {
+func (st *capflowState) escapeTo(fr *frame[capKey], tgt storeTarget, keys vals[capKey], pos token.Pos, path []string) bool {
+	f := flowFact{tparam: tgt.param, pos: pos}
 	switch tgt.kind {
 	case tgtRecv:
-		fr.onEscape(roots, escRecv, 0, pos, path, "kernel state")
+		f.tkind = escRecv
+		return st.onEscape(fr, keys, f, path, "kernel state")
 	case tgtGlobal:
-		fr.onEscape(roots, escGlobal, 0, pos, path, "a package-level variable")
+		f.tkind = escGlobal
+		return st.onEscape(fr, keys, f, path, "a package-level variable")
 	case tgtParam:
-		fr.onEscape(roots, escParam, tgt.param, pos, path, "caller-visible storage")
+		f.tkind = escParam
+		return st.onEscape(fr, keys, f, path, "caller-visible storage")
 	case tgtTracked:
 		// Storing a tracked reference into another validated object
 		// (ec.SC = sc) is a state write on the stored object, not a
 		// lifetime leak: the holder's own teardown governs it.
-		for k := range roots {
-			fr.onWrite(k, pos, path)
+		for k := range keys {
+			st.onWrite(k, pos, path)
 		}
+	}
+	return false
+}
+
+// onEscape records an escape of each key: on its root in a hypercall
+// frame, as a summary fact of its input otherwise.
+func (st *capflowState) onEscape(fr *frame[capKey], keys vals[capKey], f flowFact, path []string, dest string) bool {
+	grew := false
+	for k := range keys {
+		if k.root != nil {
+			k.root.escapes = append(k.root.escapes, capEscape{pos: f.pos, path: path, dest: dest})
+		} else {
+			f.in = k.in
+			grew = st.sums[fr.node.Fn].add(f, extendPath(path, FuncDisplayName(fr.node.Fn))) || grew
+		}
+	}
+	return grew
+}
+
+// onWrite: callee write effects flow through the effects summaries, so
+// only hypercall frames record writes.
+func (st *capflowState) onWrite(k capKey, pos token.Pos, path []string) {
+	if k.root != nil {
+		k.root.ops = append(k.root.ops, capOp{kind: opWrite, pos: pos, path: path})
 	}
 }
 
-func (fr *flowFrame) onEscape(roots valSet, tkind escTargetKind, tparam int, pos token.Pos, path []string, dest string) {
-	if fr.hyper {
-		for k := range roots {
-			if root, ok := k.(*capRoot); ok {
-				root.escapes = append(root.escapes, capEscape{pos: pos, path: path, dest: dest})
-			}
-		}
-		return
+func (st *capflowState) onInvoke(fr *frame[capKey], k capKey, pos token.Pos, path []string) bool {
+	if k.root == nil {
+		return st.sums[fr.node.Fn].add(flowFact{in: k.in, inv: true, pos: pos}, extendPath(path, FuncDisplayName(fr.node.Fn)))
 	}
-	self := FuncDisplayName(fr.node.Fn)
-	for k := range roots {
-		if in, ok := k.(flowInput); ok {
-			fr.sum.escapes = append(fr.sum.escapes, flowEsc{
-				in: in, tkind: tkind, tparam: tparam, pos: pos, path: appendPath(path, self),
-			})
-		}
-	}
+	k.root.ops = append(k.root.ops, capOp{kind: opInvoke, pos: pos, path: path})
+	return false
 }
 
-func (fr *flowFrame) onWrite(key any, pos token.Pos, path []string) {
-	if !fr.hyper {
-		return // callee write effects flow through the effects engine
+func (st *capflowState) collectCall(fr *frame[capKey], call *ast.CallExpr) bool {
+	if st.lookupAt(call) != nil {
+		return false // the validation itself is not an operation
 	}
-	if root, ok := key.(*capRoot); ok {
-		root.ops = append(root.ops, capOp{kind: opWrite, pos: pos, path: path})
-	}
-}
-
-func (fr *flowFrame) onInvoke(key any, pos token.Pos, path []string) {
-	if fr.hyper {
-		if root, ok := key.(*capRoot); ok {
-			root.ops = append(root.ops, capOp{kind: opInvoke, pos: pos, path: path})
-		}
-		return
-	}
-	if in, ok := key.(flowInput); ok {
-		fr.sum.invokes = append(fr.sum.invokes, flowInv{in: in, pos: pos, path: appendPath(path, FuncDisplayName(fr.node.Fn))})
-	}
-}
-
-func (fr *flowFrame) collectCall(call *ast.CallExpr) {
-	if _, ok := fr.lookups[call]; ok {
-		return // the validation itself is not an operation
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if fr.isInvocation(sel) {
-			for k, l := range fr.eval(sel.X) {
-				if l == lvlDirect || l == lvlCapResult {
-					fr.onInvoke(k, call.Pos(), nil)
-				}
+	grew := false
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isInvocation(fr.info, sel) {
+		for k, l := range fr.eval(sel.X) {
+			if l == lvlDirect || l == lvlCapResult {
+				grew = st.onInvoke(fr, k, call.Pos(), nil) || grew
 			}
 		}
 	}
-	if tv, ok := fr.info.Types[call.Fun]; ok && tv.IsType() {
-		return
+	if tv, ok := fr.info.Types[call.Fun]; ok && tv.IsType() || builtinName(fr.info, call) != "" {
+		return grew
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, ok := fr.info.Uses[id].(*types.Builtin); ok {
-			return
-		}
-	}
-	for _, callee := range fr.st.cg.CalleesAt(call) {
-		sum := fr.st.summaryOf(callee)
-		for _, esc := range sum.escapes {
-			fr.mapEscape(call, esc)
-		}
-		for _, inv := range sum.invokes {
-			for k, l := range fr.inputValue(call, inv.in) {
-				if l == lvlDirect {
-					fr.onInvoke(k, inv.pos, fr.mappedPath(inv.path))
-				}
+	for _, c := range st.cg.CalleesAt(call) {
+		if sum := st.sums[c]; sum != nil {
+			for i, f := range sum.facts {
+				grew = st.mapFact(fr, call, f, sum.paths[i]) || grew
 			}
 		}
-		if fr.hyper {
-			fr.mapWriteEffects(call, callee)
+		if st.hc != nil {
+			st.mapWriteEffects(fr, call, c)
 		}
 	}
+	return grew
 }
 
 // isInvocation reports whether sel is a method call or a call through a
 // function-typed field — calling through the object either way.
-func (fr *flowFrame) isInvocation(sel *ast.SelectorExpr) bool {
-	s, ok := fr.info.Selections[sel]
+func isInvocation(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
 	if !ok {
 		return false
 	}
@@ -1149,90 +782,62 @@ func (fr *flowFrame) isInvocation(sel *ast.SelectorExpr) bool {
 	return false
 }
 
-// mappedPath extends a callee-side chain with this frame's own name
-// when building a summary; hypercall frames keep the chain as-is (the
-// hypercall is the diagnostic's subject, not a link).
-func (fr *flowFrame) mappedPath(path []string) []string {
-	if fr.hyper {
-		return path
-	}
-	return appendPath(path, FuncDisplayName(fr.node.Fn))
-}
-
-// mapEscape maps one callee escape through a call site: if a tracked
-// reference feeds the escaping input, the store target is resolved in
-// this frame (the callee's receiver/argument expression) and the escape
-// re-classified here.
-func (fr *flowFrame) mapEscape(call *ast.CallExpr, esc flowEsc) {
-	feeding := make(valSet)
-	for k, l := range fr.inputValue(call, esc.in) {
-		if l >= lvlCarrier {
-			feeding.add(k, l)
+// mapFact maps one callee summary fact through a call site. An
+// invocation through the input invokes whatever object feeds it; for an
+// escape, if a tracked reference feeds the escaping input, the store
+// target is resolved in this frame (the callee's receiver/argument
+// expression) and the escape re-classified here.
+func (st *capflowState) mapFact(fr *frame[capKey], call *ast.CallExpr, f flowFact, path []string) bool {
+	feeding := fr.arg(call, f.in)
+	grew := false
+	if f.inv {
+		for k, l := range feeding {
+			if l == lvlDirect {
+				grew = st.onInvoke(fr, k, f.pos, path) || grew
+			}
 		}
+		return grew
 	}
-	if len(feeding) == 0 {
-		return
-	}
-	path := fr.mappedPath(esc.path)
-	if esc.tkind == escGlobal {
-		fr.escapeTo(storeTarget{kind: tgtGlobal}, feeding, esc.pos, path)
-		return
+	if feeding = retained(feeding); len(feeding) == 0 {
+		return false
 	}
 	var target ast.Expr
-	if esc.tkind == escRecv {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
+	switch f.tkind {
+	case escGlobal:
+		return st.escapeTo(fr, storeTarget{kind: tgtGlobal}, feeding, f.pos, path)
+	case escRecv:
+		target = methodRecv(fr.info, call)
+	case escParam:
+		if f.tparam >= 0 && f.tparam < len(call.Args) {
+			target = call.Args[f.tparam]
 		}
-		target = sel.X
-	} else {
-		if esc.tparam < 0 || esc.tparam >= len(call.Args) {
-			return
-		}
-		target = call.Args[esc.tparam]
 	}
-	fr.escapeTo(fr.classifyTarget(target), feeding, esc.pos, path)
+	if target == nil {
+		return false
+	}
+	return st.escapeTo(fr, st.classifyTarget(fr, target), feeding, f.pos, path)
 }
 
 // mapWriteEffects turns the callee's write-effect summary into
 // operations on tracked objects: a callee that writes through its
 // receiver or a parameter writes whatever object the hypercall passed
 // there.
-func (fr *flowFrame) mapWriteEffects(call *ast.CallExpr, callee *types.Func) {
-	es := fr.st.eff.Summary(callee)
+func (st *capflowState) mapWriteEffects(fr *frame[capKey], call *ast.CallExpr, callee *types.Func) {
+	es := st.eff.Summary(callee)
 	if es == nil {
 		return
 	}
 	for _, w := range es.Writes {
-		var site valSet
+		var site vals[capKey]
 		switch w.Region.Kind {
 		case RegionRecv:
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				site = fr.eval(sel.X)
-			}
+			site = fr.arg(call, -1)
 		case RegionParam:
-			site = fr.inputValue(call, flowInput{param: w.Region.Param})
-		default:
-			continue
+			site = fr.arg(call, w.Region.Param)
 		}
 		for k, l := range site {
 			if l == lvlDirect || l == lvlGraph {
-				fr.onWrite(k, w.Pos, w.Path)
-			}
-		}
-	}
-}
-
-func (fr *flowFrame) collectReturn(n *ast.ReturnStmt) {
-	if fr.hyper || fr.sum == nil || len(n.Results) != len(fr.sum.results) {
-		return
-	}
-	for i, r := range n.Results {
-		for k, l := range fr.eval(r) {
-			if in, ok := k.(flowInput); ok {
-				if cur, exists := fr.sum.results[i][in]; !exists || l > cur {
-					fr.sum.results[i][in] = l
-				}
+				st.onWrite(k, w.Pos, w.Path)
 			}
 		}
 	}
@@ -1240,42 +845,39 @@ func (fr *flowFrame) collectReturn(n *ast.ReturnStmt) {
 
 // hypercall verification ---------------------------------------------------
 
-func (st *capflowState) checkHypercall(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
-	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	node := st.cg.Node(fn)
-	if node == nil {
-		return
-	}
-	fr := st.newFrame(node, true)
-	fr.propagate()
-	fr.collect()
+func (st *capflowState) checkHypercall(pass *Pass, node *FuncNode) {
+	st.hc = &hypercall{lookups: make(map[*ast.CallExpr]*capRoot), creations: make(map[*ast.CompositeLit]*capRoot)}
+	fr := st.fl.frame(node)
+	st.scanLookups(fr)
+	fr.settle()
+	st.collect(fr)
+	hc := st.hc
+	st.hc = nil
 
+	fd := node.Decl
 	name := fd.Name.Name
 	rows, hasRow := HypercallRights[name]
 	if !hasRow {
 		pass.Reportf(fd.Name.Pos(), "hypercall Kernel.%s has no entry in the capability-rights table (HypercallRights in caprights.go): declare which capabilities it validates so the interface stays reviewed", name)
 	} else {
-		st.checkTable(pass, fr, name, rows, fd)
+		st.checkTable(pass, hc, name, rows, fd)
 	}
 	seen := make(map[string]bool)
-	for _, root := range fr.roots {
+	for _, root := range hc.roots {
 		for _, esc := range root.escapes {
 			st.checkEscape(pass, root, esc, name, seen)
 		}
 	}
-	for _, root := range fr.roots {
+	for _, root := range hc.roots {
 		st.checkRights(pass, root, name)
 	}
 }
 
 // checkTable cross-checks the declared rows against the lookups the
 // body actually performs, in both directions.
-func (st *capflowState) checkTable(pass *Pass, fr *flowFrame, name string, rows []DeclaredLookup, fd *ast.FuncDecl) {
+func (st *capflowState) checkTable(pass *Pass, hc *hypercall, name string, rows []DeclaredLookup, fd *ast.FuncDecl) {
 	matched := make([]bool, len(rows))
-	for _, root := range fr.roots {
+	for _, root := range hc.roots {
 		if root.creation || root.bare || !root.needKnown {
 			continue
 		}

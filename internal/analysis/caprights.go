@@ -79,6 +79,8 @@ var HypercallRights = map[string][]DeclaredLookup{
 	"FixHold":            {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCtrl}},
 	"FixHoldBadTeardown": {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
 	"FixChain":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixRecurEnter":      {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixRecurMid":        {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
 	"FixDrift":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
 	"FixCallPortal":      {{Param: -1, Type: cap.ObjPortal, Need: cap.RightCall}},
 	"FixCallBadRights":   {{Param: -1, Type: cap.ObjPortal, Need: cap.RightRead}},

@@ -6,17 +6,16 @@ import (
 	"go/types"
 )
 
-// Concurrency keeps the simulation single-goroutine until the parallel
-// engine arrives through its audited gate. The determinism and
-// isolation arguments both assume sequential execution: a goroutine, a
-// channel, a mutex or an atomic anywhere in sim-critical code would
-// introduce host-scheduling order into the simulated machine's
-// observable results. The planned deterministic parallel multi-VM
-// engine (epoch-barrier sharding) must therefore be the ONLY place
-// concurrency enters, and it announces itself: a function annotated
-// `// epoch-barrier: <why>` in its doc comment is the audited layer and
-// may use any primitive; everywhere else in a sim-critical package the
-// analyzer forbids:
+// Concurrency keeps the simulation single-goroutine. The determinism
+// and isolation arguments both assume sequential execution: a
+// goroutine, a channel, a mutex or an atomic anywhere in sim-critical
+// code would introduce host-scheduling order into the simulated
+// machine's observable results, and two machines in one process
+// (TestTwoMachineInterleavedDeterminism) would stop being independent.
+// Concurrency may enter only through an audited gate that announces
+// itself: a function annotated `// epoch-barrier: <why>` in its doc
+// comment may use any primitive; everywhere else in a sim-critical
+// package the analyzer forbids:
 //
 //   - go statements;
 //   - channel operations (send, receive, close, select, range over a

@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// This file is the write-effect summary engine: the region/effect
-// analysis the shared-state analyzers (globalstate, isolation) build
-// on, in the same way taint builds on the call graph. It answers, for
-// every function in the program, "where can a write performed by (or on
-// behalf of) this function land?" over a four-region abstraction:
+// This file is the write-effect analysis the shared-state analyzers
+// (globalstate, isolation) and capflow build on, as a policy of the
+// shared dataflow engine (flow.go). It answers, for every function in
+// the program, "where can a write performed by (or on behalf of) this
+// function land?" over a four-region abstraction:
 //
 //   - receiver-owned state: anything reachable from the method
 //     receiver's object graph (a Kernel writing its scheduler queues, a
@@ -32,18 +32,18 @@ import (
 // receiver expression's region; callee writes parameter j → the
 // region of argument j; global writes stay global), and return values
 // carry the regions they may alias, so a write through an accessor
-// result is attributed to the accessor's underlying storage. The whole
-// program iterates to a fixpoint, like the taint summaries.
+// result is attributed to the accessor's underlying storage.
 //
-// The abstraction over-approximates in the conservative direction for
-// its consumers: aliases are unioned (a value that may point into the
-// receiver or a global is treated as both), functions without a body in
-// the program (stdlib) are assumed to write through every mutable
-// pointer-like argument (pointer, slice, map, chan — not interfaces or
-// strings, which would drown the analysis in error-wrapping noise), and
-// writes inside function literals are charged to the enclosing
-// declaration. Extra write regions can only make globalstate/isolation
-// report more, never less.
+// The abstraction over-approximates for its consumers: aliases are
+// unioned (a value that may point into the receiver or a global is
+// treated as both), the result of a function without a body in the
+// program may alias any argument, an unresolved call (a function value,
+// an interface with no implementation in the program) is assumed to
+// write through every mutable pointer-like argument (pointer, slice,
+// map, chan — not interfaces or strings, which would drown the analysis
+// in error-wrapping noise), and writes inside function literals are
+// charged to the enclosing declaration. Calls into the standard library
+// are assumed to write nothing.
 
 // RegionKind classifies the storage a write may reach.
 type RegionKind uint8
@@ -81,29 +81,9 @@ func (r Region) String() string {
 
 // regionSet is the alias set of a value: the regions its pointed-to
 // storage may belong to. Empty means "local/unknown storage only".
-type regionSet map[Region]bool
+type regionSet map[Region]level
 
-func (rs regionSet) join(other regionSet) bool {
-	changed := false
-	for r := range other {
-		if !rs[r] {
-			rs[r] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (rs regionSet) clone() regionSet {
-	out := make(regionSet, len(rs))
-	for r := range rs {
-		out[r] = true
-	}
-	return out
-}
-
-// sortedRegions orders a region set deterministically for signatures
-// and reporting.
+// sortedRegions orders a region set deterministically for reporting.
 func (rs regionSet) sortedRegions() []Region {
 	out := make([]Region, 0, len(rs))
 	for r := range rs {
@@ -120,10 +100,7 @@ func regionLess(a, b Region) bool {
 	if a.Param != b.Param {
 		return a.Param < b.Param
 	}
-	if a.Global != b.Global {
-		return globalVarKey(a.Global) < globalVarKey(b.Global)
-	}
-	return false
+	return globalVarKey(a.Global) < globalVarKey(b.Global)
 }
 
 func globalVarKey(v *types.Var) string {
@@ -140,7 +117,8 @@ func globalVarKey(v *types.Var) string {
 // WriteEffect is one region a function may write, with a representative
 // site and the interprocedural chain that reaches it. Path[0] names the
 // function containing the actual store; later entries are the callers
-// the effect was mapped through, innermost first.
+// the effect was mapped through, innermost first (a display path,
+// truncated at maxPath steps).
 type WriteEffect struct {
 	Region Region
 	Pos    token.Pos // the store site (stable across the mapping)
@@ -162,17 +140,13 @@ type EffectSummary struct {
 	// Rets[i] is the alias set of result i — which storage a caller
 	// reaches by writing through the returned value.
 	Rets []regionSet
-
-	env    map[types.Object]regionSet
-	recv   *types.Var
-	params []*types.Var
 }
 
 // WriteRegions lists the written regions in deterministic order.
 func (s *EffectSummary) WriteRegions() []Region {
 	rs := make(regionSet, len(s.Writes))
 	for r := range s.Writes {
-		rs[r] = true
+		rs[r] = lvlDirect
 	}
 	return rs.sortedRegions()
 }
@@ -183,24 +157,33 @@ func (s *EffectSummary) WritesGlobal(v *types.Var) *WriteEffect {
 	return s.Writes[Region{Kind: RegionGlobal, Global: v}]
 }
 
-// signature renders the caller-visible part of the summary for fixpoint
-// detection.
-func (s *EffectSummary) signature() string {
-	var parts []string
-	for _, r := range s.WriteRegions() {
-		parts = append(parts, r.String())
+// addWrite records a write to r: a direct store (from == nil) or one
+// mapped from a callee's effect. A direct site beats a mapped one as
+// the representative; it reports whether r is newly written.
+func (s *EffectSummary) addWrite(r Region, pos token.Pos, from *WriteEffect) bool {
+	prev := s.Writes[r]
+	switch {
+	case from == nil && (prev == nil || !prev.Direct):
+		s.Writes[r] = &WriteEffect{Region: r, Pos: pos, Direct: true, Path: []string{FuncDisplayName(s.Fn)}}
+	case from != nil && prev == nil:
+		s.Writes[r] = &WriteEffect{Region: r, Pos: from.Pos, Path: extendPath(from.Path, FuncDisplayName(s.Fn))}
 	}
-	for i, set := range s.Rets {
-		for _, r := range set.sortedRegions() {
-			parts = append(parts, fmt.Sprintf("r%d=%s", i, r.String()))
+	return prev == nil
+}
+
+// writeAll records a direct write to every non-local region of rs.
+func (s *EffectSummary) writeAll(rs vals[Region], pos token.Pos) bool {
+	grew := false
+	for r := range rs {
+		if r.Kind != RegionLocal && s.addWrite(r, pos, nil) {
+			grew = true
 		}
 	}
-	return strings.Join(parts, "|")
+	return grew
 }
 
 // Effects is the program-wide effect-summary table.
 type Effects struct {
-	prog      *Program
 	cg        *CallGraph
 	Summaries map[*types.Func]*EffectSummary
 }
@@ -218,614 +201,245 @@ func (p *Program) Effects() *Effects {
 	return p.eff
 }
 
-const maxEffectRounds = 12
-
 func computeEffects(prog *Program) *Effects {
-	e := &Effects{
-		prog:      prog,
-		cg:        prog.CallGraph(),
-		Summaries: make(map[*types.Func]*EffectSummary),
+	e := &Effects{cg: prog.CallGraph(), Summaries: make(map[*types.Func]*EffectSummary)}
+	for _, n := range e.cg.Ordered {
+		e.Summaries[n.Fn] = &EffectSummary{Fn: n.Fn, Node: n, Writes: make(map[Region]*WriteEffect)}
 	}
-	for round := 0; round < maxEffectRounds; round++ {
-		changed := false
-		for _, node := range e.cg.Ordered {
-			old := ""
-			if prev, ok := e.Summaries[node.Fn]; ok {
-				old = prev.signature()
-			}
-			s := e.analyzeFunc(node)
-			e.Summaries[node.Fn] = s
-			if s.signature() != old {
-				changed = true
-			}
-		}
-		if !changed {
-			break
+	fl := newFlow[Region](prog, e, false)
+	fl.solve(e.cg.Ordered)
+	for fn, s := range e.Summaries {
+		for _, r := range fl.rets[fn] {
+			s.Rets = append(s.Rets, regionSet(r))
 		}
 	}
 	return e
 }
 
-// analyzeFunc computes one function's summary against the current round
-// of callee summaries.
-func (e *Effects) analyzeFunc(node *FuncNode) *EffectSummary {
-	s := &EffectSummary{
-		Fn:     node.Fn,
-		Node:   node,
-		Writes: make(map[Region]*WriteEffect),
-		env:    make(map[types.Object]regionSet),
-	}
-	info := node.Pkg.Info
-	fd := node.Decl
-	if sig, ok := node.Fn.Type().(*types.Signature); ok {
-		s.Rets = make([]regionSet, sig.Results().Len())
-		for i := range s.Rets {
-			s.Rets[i] = make(regionSet)
-		}
-	}
+// --- the effects policy -------------------------------------------------
 
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		if v, ok := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-			s.recv = v
-			s.env[v] = regionSet{Region{Kind: RegionRecv}: true}
-		}
+func (e *Effects) input(i int) Region {
+	if i < 0 {
+		return Region{Kind: RegionRecv}
 	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				s.params = append(s.params, v)
-				s.env[v] = regionSet{Region{Kind: RegionParam, Param: idx}: true}
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-
-	// Local alias propagation to a fixpoint, then effect collection
-	// against the stabilized environment.
-	for iter := 0; iter < 30; iter++ {
-		if !e.propagateOnce(s) {
-			break
-		}
-	}
-	e.collectEffects(s)
-	return s
+	return Region{Kind: RegionParam, Param: i}
 }
 
-// propagateOnce runs one pass of alias propagation through assignments;
-// reports whether the environment changed.
-func (e *Effects) propagateOnce(s *EffectSummary) bool {
-	changed := false
-	info := s.Node.Pkg.Info
-	ast.Inspect(s.Node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			sets := e.assignRHS(s, n)
-			for i, lhs := range n.Lhs {
-				if e.bindLHS(s, lhs, sets[i]) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				for i, name := range vs.Names {
-					var set regionSet
-					if len(vs.Values) == len(vs.Names) {
-						set = e.eval(s, vs.Values[i])
-					} else if sets := e.evalMulti(s, vs.Values[0], len(vs.Names)); i < len(sets) {
-						set = sets[i]
-					}
-					if obj := info.Defs[name]; obj != nil && len(set) > 0 {
-						if e.bindObj(s, obj, set) {
-							changed = true
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if e.bindLHS(s, n.Value, e.eval(s, n.X)) {
-					changed = true
-				}
-			}
-		}
-		return true
-	})
-	return changed
+func (e *Effects) inputOf(r Region) (int, bool) {
+	switch r.Kind {
+	case RegionRecv:
+		return -1, true
+	case RegionParam:
+		return r.Param, true
+	}
+	return 0, false
 }
 
-// bindLHS merges an alias set into an assignment target. A plain local
-// identifier takes the regions directly; a write through a local's
-// field/element also smears the stored regions onto the local, so that
-// a global pointer stashed in a local struct keeps its global identity
-// when later written through (`x.f = globalPtr; x.f.y = 1`).
-func (e *Effects) bindLHS(s *EffectSummary, lhs ast.Expr, set regionSet) bool {
-	if len(set) == 0 {
-		return false
+// expr: a value of basic type (number, string, bool) is a copy —
+// holding it cannot reach anyone else's storage, so it severs aliasing
+// (an int looked up from a global table is just an int); only the
+// address-of operator re-establishes a region for a scalar. Program
+// globals are regions of their own, and append returns its first
+// argument's backing store (or a fresh one).
+func (e *Effects) expr(fr *frame[Region], x ast.Expr) (vals[Region], bool) {
+	if isBasicExpr(fr.info, x) {
+		return nil, true
 	}
-	info := s.Node.Pkg.Info
-	e2 := lhs
-	for {
-		switch x := e2.(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil || x.Name == "_" {
-				return false
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return false // global targets are write effects, not bindings
-			}
-			return e.bindObj(s, obj, set)
-		case *ast.SelectorExpr:
-			e2 = x.X
-		case *ast.IndexExpr:
-			e2 = x.X
-		case *ast.StarExpr:
-			e2 = x.X
-		case *ast.ParenExpr:
-			e2 = x.X
-		default:
-			return false
+	switch x := x.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		if v := globalRef(fr.info, x); v != nil {
+			return vals[Region]{{Kind: RegionGlobal, Global: v}: lvlDirect}, true
 		}
-	}
-}
-
-func (e *Effects) bindObj(s *EffectSummary, obj types.Object, set regionSet) bool {
-	cur, ok := s.env[obj]
-	if !ok {
-		cur = make(regionSet)
-		s.env[obj] = cur
-	}
-	return cur.join(set)
-}
-
-// assignRHS evaluates the right-hand sides, expanding a single
-// multi-value expression per result position.
-func (e *Effects) assignRHS(s *EffectSummary, n *ast.AssignStmt) []regionSet {
-	out := make([]regionSet, len(n.Lhs))
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		return e.evalMulti(s, n.Rhs[0], len(n.Lhs))
-	}
-	for i := range n.Lhs {
-		if i < len(n.Rhs) {
-			out[i] = e.eval(s, n.Rhs[i])
-		} else {
-			out[i] = regionSet{}
-		}
-	}
-	return out
-}
-
-// evalMulti evaluates a multi-valued expression into n per-position
-// alias sets.
-func (e *Effects) evalMulti(s *EffectSummary, expr ast.Expr, n int) []regionSet {
-	out := make([]regionSet, n)
-	for i := range out {
-		out[i] = regionSet{}
-	}
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		// v, ok := m[k] / x.(T) / <-ch: the value slot aliases the operand.
-		out[0] = e.eval(s, expr)
-		return out
-	}
-	for _, callee := range e.cg.CalleesAt(call) {
-		sum := e.Summaries[callee]
-		if sum == nil || len(sum.Rets) != n {
-			set := e.passThroughArgs(s, call)
-			for i := range out {
-				out[i].join(set)
-			}
-			continue
-		}
-		for i, rset := range sum.Rets {
-			out[i].join(e.mapCalleeRegions(s, call, rset))
-		}
-	}
-	if len(e.cg.CalleesAt(call)) == 0 {
-		set := e.passThroughArgs(s, call)
-		for i := range out {
-			out[i].join(set)
-		}
-	}
-	return out
-}
-
-// eval computes the alias set of an expression under the current
-// environment.
-func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
-	info := s.Node.Pkg.Info
-	// A value of basic type (number, string, bool) is a copy: holding
-	// it cannot reach anyone else's storage, so it severs aliasing. An
-	// int looked up from a global table is just an int. Only the
-	// address-of operator re-establishes a region for a scalar, and
-	// that goes through evalAddr below.
-	if tv, ok := info.Types[expr]; ok && tv.Type != nil {
-		if _, basic := tv.Type.Underlying().(*types.Basic); basic {
-			return regionSet{}
-		}
-	}
-	switch expr := expr.(type) {
-	case *ast.Ident:
-		obj := info.ObjectOf(expr)
-		if v, ok := obj.(*types.Var); ok && isProgramGlobal(v) {
-			return regionSet{Region{Kind: RegionGlobal, Global: v}: true}
-		}
-		if set, ok := s.env[obj]; ok {
-			return set
-		}
-	case *ast.ParenExpr:
-		return e.eval(s, expr.X)
-	case *ast.StarExpr:
-		return e.eval(s, expr.X)
 	case *ast.UnaryExpr:
-		if expr.Op == token.AND {
-			return e.evalAddr(s, expr.X)
+		if x.Op == token.AND {
+			return e.addr(fr, x.X), true
 		}
-		return e.eval(s, expr.X)
-	case *ast.TypeAssertExpr:
-		return e.eval(s, expr.X)
-	case *ast.IndexExpr:
-		return e.eval(s, expr.X)
-	case *ast.SliceExpr:
-		return e.eval(s, expr.X)
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[expr]; ok && sel.Kind() == types.FieldVal {
-			return e.eval(s, expr.X)
-		}
-		// Package-qualified reference (pkg.Var) or method value.
-		if v, ok := info.Uses[expr.Sel].(*types.Var); ok && isProgramGlobal(v) {
-			return regionSet{Region{Kind: RegionGlobal, Global: v}: true}
-		}
-		return regionSet{}
 	case *ast.CallExpr:
-		return e.evalCall(s, expr)
-	case *ast.CompositeLit:
-		// Fresh storage, but pointers stored in the literal keep their
-		// identity: writing through lit.f must still reach what f points
-		// to, so the element regions union in.
-		out := make(regionSet)
-		for _, el := range expr.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				out.join(e.eval(s, kv.Value))
-			} else {
-				out.join(e.eval(s, el))
-			}
+		if builtinName(fr.info, x) == "append" && len(x.Args) > 0 {
+			return fr.eval(x.Args[0]), true
 		}
-		return out
-	case *ast.BinaryExpr:
-		// Pointer arithmetic does not exist; only comparisons and
-		// string/number math reach here. No aliasing.
-		return regionSet{}
 	}
-	return regionSet{}
+	return nil, false
 }
 
-// evalAddr computes the regions of an expression's own storage slot —
-// the meaning of &expr. This is the one place a basic-typed variable
-// re-enters the analysis: copying a scalar severs aliasing (see eval),
-// but taking its address shares the variable itself.
-func (e *Effects) evalAddr(s *EffectSummary, expr ast.Expr) regionSet {
-	info := s.Node.Pkg.Info
-	switch x := expr.(type) {
+// addr computes the regions of an expression's own storage slot — the
+// meaning of &expr. This is the one place a basic-typed variable
+// re-enters the analysis: copying a scalar severs aliasing, but taking
+// its address shares the variable itself.
+func (e *Effects) addr(fr *frame[Region], x ast.Expr) vals[Region] {
+	switch y := x.(type) {
 	case *ast.Ident:
-		obj := info.ObjectOf(x)
-		if v, ok := obj.(*types.Var); ok && isProgramGlobal(v) {
-			return regionSet{Region{Kind: RegionGlobal, Global: v}: true}
+		if v := globalRef(fr.info, y); v != nil {
+			return vals[Region]{{Kind: RegionGlobal, Global: v}: lvlDirect}
 		}
-		if set, ok := s.env[obj]; ok {
-			return set
-		}
-		return regionSet{}
+		return fr.env[fr.info.ObjectOf(y)]
 	case *ast.ParenExpr:
-		return e.evalAddr(s, x.X)
+		return e.addr(fr, y.X)
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			// &x.f lives inside x's own storage (value base) or inside
-			// whatever x points to (pointer base); cover both.
-			out := e.evalAddr(s, x.X).clone()
-			out.join(e.eval(s, x.X))
-			return out
+		if !isFieldSel(fr.info, y) {
+			return fr.eval(y)
 		}
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok && isProgramGlobal(v) {
-			return regionSet{Region{Kind: RegionGlobal, Global: v}: true}
-		}
-		return regionSet{}
+		// &x.f lives inside x's own storage (value base) or inside
+		// whatever x points to (pointer base); cover both.
+		out := vals[Region]{}
+		out.join(e.addr(fr, y.X))
+		out.join(fr.eval(y.X))
+		return out
 	case *ast.IndexExpr:
-		out := e.evalAddr(s, x.X).clone()
-		out.join(e.eval(s, x.X))
+		out := vals[Region]{}
+		out.join(e.addr(fr, y.X))
+		out.join(fr.eval(y.X))
 		return out
 	case *ast.StarExpr:
-		return e.eval(s, x.X) // &*p is p's pointee
+		return fr.eval(y.X) // &*p is p's pointee
 	}
-	return e.eval(s, expr)
+	return fr.eval(x)
 }
 
-// evalCall models a call's result aliasing: conversions pass through,
-// allocating builtins are fresh, known callees map their return alias
-// sets through the site, unknown callees conservatively pass their
-// arguments through.
-func (e *Effects) evalCall(s *EffectSummary, call *ast.CallExpr) regionSet {
-	info := s.Node.Pkg.Info
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return e.eval(s, call.Args[0]) // conversion
-		}
-		return regionSet{}
+func (e *Effects) elem(v vals[Region]) vals[Region] { return v }
+
+// callee: a function without a body in the program (or an unresolved
+// call) may return any argument or its receiver.
+func (e *Effects) callee(fr *frame[Region], call *ast.CallExpr, c *types.Func, out []vals[Region]) bool {
+	if c == nil || e.cg.Node(c) == nil {
+		return fr.passThrough(call, out)
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make", "new", "len", "cap", "delete", "clear", "min", "max", "panic", "print", "println", "close", "copy":
-				return regionSet{}
-			case "append":
-				// append may return the original backing store or a
-				// fresh one; assume the original.
-				if len(call.Args) > 0 {
-					return e.eval(s, call.Args[0])
-				}
-				return regionSet{}
-			default:
-				return regionSet{}
-			}
-		}
-	}
-	callees := e.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return e.passThroughArgs(s, call)
-	}
-	out := make(regionSet)
-	for _, callee := range callees {
-		sum := e.Summaries[callee]
-		if sum == nil {
-			out.join(e.passThroughArgs(s, call))
-			continue
-		}
-		for _, rset := range sum.Rets {
-			out.join(e.mapCalleeRegions(s, call, rset))
-		}
-	}
-	return out
+	return false
 }
 
-// passThroughArgs is the aliasing model for functions without a body in
-// the program: the result may alias any argument (and the receiver).
-func (e *Effects) passThroughArgs(s *EffectSummary, call *ast.CallExpr) regionSet {
-	out := make(regionSet)
-	for _, a := range call.Args {
-		out.join(e.eval(s, a))
+// bind: a store through a local's field or element smears the stored
+// regions onto the local, so that a global pointer stashed in a local
+// struct keeps its global identity when later written through
+// (`x.f = globalPtr; x.f.y = 1`). Global targets are write effects, not
+// bindings.
+func (e *Effects) bind(fr *frame[Region], obj types.Object, v vals[Region], via storeVia) vals[Region] {
+	if pv, ok := obj.(*types.Var); ok && isPackageLevelVar(pv) {
+		return nil
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.Node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			out.join(e.eval(s, sel.X))
-		}
-	}
-	return out
+	return v
 }
 
-// mapCalleeRegions translates a callee-side region set into the
-// caller's frame: globals stay, receiver/params resolve to the call
-// site's receiver/argument expressions.
-func (e *Effects) mapCalleeRegions(s *EffectSummary, call *ast.CallExpr, rs regionSet) regionSet {
-	out := make(regionSet)
-	for r := range rs {
-		switch r.Kind {
-		case RegionGlobal:
-			out[r] = true
-		case RegionRecv:
-			out.join(e.evalCallRecv(s, call))
-		case RegionParam:
-			out.join(e.evalCallArgRegion(s, call, r.Param))
-		}
-	}
-	return out
-}
+func (e *Effects) stmt(*frame[Region], ast.Node) bool { return false }
 
-func (e *Effects) evalCallRecv(s *EffectSummary, call *ast.CallExpr) regionSet {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.Node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			return e.eval(s, sel.X)
-		}
-	}
-	return regionSet{}
-}
-
-func (e *Effects) evalCallArgRegion(s *EffectSummary, call *ast.CallExpr, param int) regionSet {
-	if param >= 0 && param < len(call.Args) {
-		return e.eval(s, call.Args[param])
-	}
-	if len(call.Args) > 0 && param >= len(call.Args) {
-		return e.eval(s, call.Args[len(call.Args)-1]) // variadic tail
-	}
-	return regionSet{}
-}
-
-// --- effect collection ---------------------------------------------------
-
-// collectEffects records, against the stabilized environment: store
-// effects, callee effects mapped through call sites, and return-value
-// alias sets.
-func (e *Effects) collectEffects(s *EffectSummary) {
-	info := s.Node.Pkg.Info
-	ast.Inspect(s.Node.Decl.Body, func(n ast.Node) bool {
+// collect records, against the settled environment, store effects and
+// callee effects mapped through call sites.
+func (e *Effects) collect(fr *frame[Region]) bool {
+	s := e.Summaries[fr.node.Fn]
+	grew := false
+	fr.inspect(func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				break
-			}
-			for _, lhs := range n.Lhs {
-				e.recordStore(s, lhs, n.Pos())
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					grew = e.recordStore(fr, s, lhs, n.Pos()) || grew
+				}
 			}
 		case *ast.IncDecStmt:
-			e.recordStore(s, n.X, n.Pos())
+			grew = e.recordStore(fr, s, n.X, n.Pos()) || grew
 		case *ast.CallExpr:
-			e.recordCallEffects(s, n)
-		case *ast.ReturnStmt:
-			switch {
-			case len(n.Results) == len(s.Rets):
-				for i, r := range n.Results {
-					s.Rets[i].join(e.eval(s, r))
-				}
-			case len(n.Results) == 1 && len(s.Rets) > 1:
-				for i, set := range e.evalMulti(s, n.Results[0], len(s.Rets)) {
-					s.Rets[i].join(set)
-				}
-			case len(n.Results) == 0 && s.Node.Decl.Type.Results != nil:
-				i := 0
-				for _, field := range s.Node.Decl.Type.Results.List {
-					for _, name := range field.Names {
-						if set, ok := s.env[info.Defs[name]]; ok && i < len(s.Rets) {
-							s.Rets[i].join(set)
-						}
-						i++
-					}
-					if len(field.Names) == 0 {
-						i++
-					}
-				}
-			}
+			grew = e.recordCallEffects(fr, s, n) || grew
 		}
-		return true
 	})
+	return grew
+}
+
+// globalRef resolves an identifier or package-qualified selector naming
+// a program global, or returns nil.
+func globalRef(info *types.Info, x ast.Expr) *types.Var {
+	var obj types.Object
+	switch x := x.(type) {
+	case *ast.Ident:
+		obj = info.ObjectOf(x)
+	case *ast.SelectorExpr:
+		if !isFieldSel(info, x) {
+			obj = info.Uses[x.Sel]
+		}
+	}
+	if v, ok := obj.(*types.Var); ok && isProgramGlobal(v) {
+		return v
+	}
+	return nil
 }
 
 // recordStore attributes one store statement's target to its regions.
-func (e *Effects) recordStore(s *EffectSummary, lhs ast.Expr, pos token.Pos) {
-	info := s.Node.Pkg.Info
+// A store to a local variable slot is invisible to callers.
+func (e *Effects) recordStore(fr *frame[Region], s *EffectSummary, lhs ast.Expr, pos token.Pos) bool {
 	switch x := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if v, ok := info.ObjectOf(x).(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos, "assignment to "+v.Name())
+	case *ast.Ident, *ast.SelectorExpr:
+		if v := globalRef(fr.info, x); v != nil {
+			return s.addWrite(Region{Kind: RegionGlobal, Global: v}, pos, nil)
 		}
-		// A store to a local variable slot is invisible to callers.
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			e.addWriteSet(s, e.eval(s, x.X), pos, "field write "+x.Sel.Name)
-			return
-		}
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos, "assignment to "+v.Name())
+		if sel, ok := x.(*ast.SelectorExpr); ok && isFieldSel(fr.info, sel) {
+			return s.writeAll(fr.eval(sel.X), pos)
 		}
 	case *ast.IndexExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos, "element write")
+		return s.writeAll(fr.eval(x.X), pos)
 	case *ast.StarExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos, "pointer write")
+		return s.writeAll(fr.eval(x.X), pos)
 	}
+	return false
 }
 
 // recordCallEffects maps a call's write effects into this summary:
 // mutating builtins, known callee summaries, and the conservative model
-// for bodyless functions.
-func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
-	info := s.Node.Pkg.Info
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "copy", "delete", "clear", "append":
-				if len(call.Args) > 0 {
-					e.addWriteSet(s, e.eval(s, call.Args[0]), call.Pos(), b.Name())
-				}
+// for unresolved calls.
+func (e *Effects) recordCallEffects(fr *frame[Region], s *EffectSummary, call *ast.CallExpr) bool {
+	info := fr.info
+	if name := builtinName(info, call); name != "" {
+		switch name {
+		case "copy", "delete", "clear", "append":
+			if len(call.Args) > 0 {
+				return s.writeAll(fr.eval(call.Args[0]), call.Pos())
 			}
-			return
 		}
+		return false
 	}
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return // conversion
+		return false // conversion
 	}
 	callees := e.cg.CalleesAt(call)
+	grew := false
 	if len(callees) == 0 {
-		// Bodyless (stdlib) function: assume it writes through every
-		// mutable pointer-like argument and the receiver.
+		// Unresolved call: assume it writes through every mutable
+		// pointer-like argument and the receiver.
 		for _, a := range call.Args {
 			if tv, ok := info.Types[a]; ok && isMutableRef(tv.Type) {
-				e.addWriteSet(s, e.eval(s, a), call.Pos(), "passed to external call")
+				grew = s.writeAll(fr.eval(a), call.Pos()) || grew
 			}
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if selInfo, ok := info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-				// A method may mutate its receiver — unless the receiver
-				// value cannot carry storage: interface method calls with
-				// no in-program implementation (err.Error()) and methods
-				// on scalars are reads as far as this analysis can see.
-				mutable := true
-				if tv, ok := info.Types[sel.X]; ok && tv.Type != nil {
-					switch tv.Type.Underlying().(type) {
-					case *types.Interface, *types.Basic:
-						mutable = false
-					}
-				}
-				if mutable {
-					e.addWriteSet(s, e.eval(s, sel.X), call.Pos(), "external method call")
+		// A method may mutate its receiver — unless the receiver value
+		// cannot carry storage: interface method calls with no
+		// in-program implementation (err.Error()) and methods on
+		// scalars are reads as far as this analysis can see.
+		if x := methodRecv(info, call); x != nil {
+			mutable := true
+			if tv, ok := info.Types[x]; ok && tv.Type != nil {
+				switch tv.Type.Underlying().(type) {
+				case *types.Interface, *types.Basic:
+					mutable = false
 				}
 			}
+			if mutable {
+				grew = s.writeAll(fr.eval(x), call.Pos()) || grew
+			}
 		}
-		return
+		return grew
 	}
-	for _, callee := range callees {
-		sum := e.Summaries[callee]
+	for _, c := range callees {
+		sum := e.Summaries[c]
 		if sum == nil {
 			continue
 		}
-		for _, w := range sum.Writes {
-			var sites regionSet
-			switch w.Region.Kind {
-			case RegionGlobal:
-				sites = regionSet{w.Region: true}
-			case RegionRecv:
-				sites = e.evalCallRecv(s, call)
-			case RegionParam:
-				sites = e.evalCallArgRegion(s, call, w.Region.Param)
-			}
-			for r := range sites {
-				if r.Kind == RegionLocal {
-					continue
+		for _, r := range sum.WriteRegions() {
+			w := sum.Writes[r]
+			for site := range fr.through(call, vals[Region]{r: lvlDirect}) {
+				if site.Kind != RegionLocal && s.addWrite(site, 0, w) {
+					grew = true
 				}
-				e.addMappedWrite(s, r, w)
 			}
 		}
 	}
-}
-
-func (e *Effects) addWriteSet(s *EffectSummary, rs regionSet, pos token.Pos, desc string) {
-	for r := range rs {
-		if r.Kind == RegionLocal {
-			continue
-		}
-		e.addDirectWrite(s, r, pos, desc)
-	}
-}
-
-func (e *Effects) addDirectWrite(s *EffectSummary, r Region, pos token.Pos, desc string) {
-	if prev, ok := s.Writes[r]; ok {
-		// A direct site beats a mapped one as the representative.
-		if !prev.Direct {
-			s.Writes[r] = &WriteEffect{Region: r, Pos: pos, Direct: true,
-				Path: []string{FuncDisplayName(s.Fn)}}
-		}
-		return
-	}
-	s.Writes[r] = &WriteEffect{Region: r, Pos: pos, Direct: true,
-		Path: []string{FuncDisplayName(s.Fn)}}
-}
-
-const maxEffectPath = 12
-
-func (e *Effects) addMappedWrite(s *EffectSummary, r Region, from *WriteEffect) {
-	if _, ok := s.Writes[r]; ok {
-		return
-	}
-	if len(from.Path) >= maxEffectPath {
-		return
-	}
-	s.Writes[r] = &WriteEffect{Region: r, Pos: from.Pos,
-		Path: append(append([]string{}, from.Path...), FuncDisplayName(s.Fn))}
+	return grew
 }
 
 // isPackageLevelVar reports whether v is a package-scope variable (not

@@ -141,3 +141,23 @@ func TestEffectWritePaths(t *testing.T) {
 		t.Error("mapped write should keep the original store site")
 	}
 }
+
+// TestEffectDeepWrite checks that a write keeps reaching callers however
+// deep its call chain: the fact holds independently of the path that
+// explains it, and only the displayed path is truncated.
+func TestEffectDeepWrite(t *testing.T) {
+	_, eff := loadEffectsFixture(t)
+	top := summaryByName(t, eff, "DeepTop")
+	var deep *WriteEffect
+	for r, w := range top.Writes {
+		if r.Kind == RegionGlobal && r.Global.Name() == "Deep" {
+			deep = w
+		}
+	}
+	if deep == nil {
+		t.Fatalf("DeepTop writes [%s], want the global Deep written 13 calls below it", strings.Join(regionStrings(top), ","))
+	}
+	if len(deep.Path) != maxPath || !strings.HasSuffix(deep.Path[0], ".deep13") || deep.Path[maxPath-1] != "..." {
+		t.Errorf("Deep write path = %v, want %d steps from deep13 ending in ...", deep.Path, maxPath)
+	}
+}

@@ -9,11 +9,13 @@ import (
 )
 
 // Globalstate classifies every package-level variable in the
-// sim-critical packages. NOVA's isolation argument — and the planned
-// parallel multi-VM engine — require that all mutable per-machine state
-// live in the machine's own object graph; a package-level var that is
-// written after initialization silently couples every Machine instance
-// in the process. Each var must therefore be one of:
+// sim-critical packages. NOVA's isolation argument — and the
+// determinism of several machines in one process
+// (TestTwoMachineInterleavedDeterminism) — require that all mutable
+// per-machine state live in the machine's own object graph; a
+// package-level var that is written after initialization silently
+// couples every Machine instance in the process. Each var must
+// therefore be one of:
 //
 //   - an init-only table: provably never written after package
 //     initialization (writes in init functions, or in helpers reachable

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// Isolation verifies the static precondition for running VMs on
-// separate goroutines between epoch barriers: every write performed on
-// a machine's simulation step path must land in state reachable from
-// that machine's own object graph. The step roots are the per-machine
+// Isolation verifies the static precondition for several machines
+// sharing one process (TestTwoMachineInterleavedDeterminism): every
+// write performed on a machine's simulation step path must land in
+// state reachable from that machine's own object graph. The step roots are the per-machine
 // entry points (the kernel run loop, the bare-metal run loop, the VMM
 // exit dispatcher); from each root the write-effect summaries
 // (effects.go) give the transitive set of regions the path can store

@@ -40,6 +40,15 @@ type Program struct {
 	byPath map[string]*Package
 	cg     *CallGraph // built lazily by CallGraph()
 	eff    *Effects   // built lazily by Effects()
+	err    error      // the first analysis fixpoint that failed
+}
+
+// fail records that an analysis over the program could not reach its
+// fixpoint: its results are partial, so every later run reports err.
+func (p *Program) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
 }
 
 // Package returns the loaded package with the given import path, or nil.

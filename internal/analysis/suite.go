@@ -108,7 +108,8 @@ func RunSuite(root string) ([]Diagnostic, error) {
 }
 
 // RunEntries loads the repository and runs the given suite entries,
-// timing each analyzer on the host wall clock.
+// timing each analyzer on the host wall clock. An analysis fixpoint
+// that does not converge is an error, not a result.
 func RunEntries(root string, entries []SuiteEntry) ([]Diagnostic, []Timing, error) {
 	prog, err := LoadRepo(root)
 	if err != nil {
@@ -134,7 +135,10 @@ func RunEntriesOn(prog *Program, entries []SuiteEntry) ([]Diagnostic, []Timing, 
 			return nil, nil, err
 		}
 		sw := walltime.Start()
-		diags := e.Analyzer.Run(prog, targets)
+		diags, err := e.Analyzer.Run(prog, targets)
+		if err != nil {
+			return nil, nil, err
+		}
 		timings = append(timings, Timing{Analyzer: e.Analyzer.Name, Seconds: sw.Seconds(), Findings: len(diags)})
 		all = append(all, diags...)
 	}

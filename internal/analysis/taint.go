@@ -31,15 +31,16 @@ import (
 //     (`v & 0x7f`), a modulus, a clamping min(), or an explicit
 //     `// sanitized: <why>` comment on the sink line or the line above.
 //
-// Propagation is interprocedural over the shared call graph
-// (callgraph.go): per-function summaries record which parameters reach
-// sinks, callee arguments, struct fields and return values; a global
-// fixpoint then pushes taint from the sources through call edges
-// (including interface calls and method values) and through struct
-// fields (field-based, receiver-insensitive — a guest value stored in
-// VAHCI.clb taints every later read of .clb). Diagnostics print the
-// full interprocedural path in function-name form, which keeps messages
-// stable across unrelated line shifts.
+// Propagation is interprocedural, a policy of the shared dataflow
+// engine (flow.go) over the shared call graph (callgraph.go):
+// per-function summaries record which parameters reach return values,
+// and each function's analysis records which reach sinks, callee
+// arguments and struct fields; taint facts are then pushed from the
+// sources through call edges (including interface calls and method
+// values) and through struct fields (field-based, receiver-insensitive
+// — a guest value stored in VAHCI.clb taints every later read of .clb).
+// Diagnostics print the interprocedural path in function-name form,
+// which keeps messages stable across unrelated line shifts.
 var Taint = &Analyzer{
 	Name: "taint",
 	Doc:  "guest-controlled values must not reach indices, lengths, shifts or host memory addresses unchecked",
@@ -88,28 +89,9 @@ type tokKey struct {
 	src   string
 }
 
-// origin records where a token was introduced, for path rendering.
-type origin struct {
-	pos  token.Pos
-	desc string
-}
-
-type tokSet map[tokKey]origin
-
-func (ts tokSet) join(other tokSet) bool {
-	changed := false
-	for k, o := range other {
-		if _, ok := ts[k]; !ok {
-			ts[k] = o
-			changed = true
-		}
-	}
-	return changed
-}
-
-// sortedKeys orders tokens deterministically: sources first (direct
-// evidence), then parameters, then fields.
-func (ts tokSet) sortedKeys() []tokKey {
+// sortedToks orders tokens totally: sources first (direct evidence),
+// then parameters, then fields.
+func sortedToks(ts vals[tokKey]) []tokKey {
 	keys := make([]tokKey, 0, len(ts))
 	for k := range ts {
 		keys = append(keys, k)
@@ -117,7 +99,7 @@ func (ts tokSet) sortedKeys() []tokKey {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.kind != b.kind {
-			return a.kind == tokSrc || (a.kind == tokParam && b.kind == tokField)
+			return strings.IndexByte("SPF", a.kind) < strings.IndexByte("SPF", b.kind)
 		}
 		if a.param != b.param {
 			return a.param < b.param
@@ -125,60 +107,45 @@ func (ts tokSet) sortedKeys() []tokKey {
 		if a.src != b.src {
 			return a.src < b.src
 		}
-		if a.field != nil && b.field != nil && a.field != b.field {
-			return a.field.Pkg().Path()+a.field.Name() < b.field.Pkg().Path()+b.field.Name()
+		if a.field == b.field {
+			return false
 		}
-		return false
+		if ka, kb := fieldKey(a.field), fieldKey(b.field); ka != kb {
+			return ka < kb
+		}
+		return a.field.Pos() < b.field.Pos()
 	})
 	return keys
 }
 
-// --- per-function summaries -------------------------------------------
+func fieldKey(f *types.Var) string { return f.Pkg().Path() + "." + f.Name() }
+
+// --- per-function flows -------------------------------------------------
 
 type sinkRec struct {
 	pos  token.Pos
 	what string // "slice index", "shift amount", ...
-	toks tokSet
+	toks vals[tokKey]
 }
 
 type argFlow struct {
 	callee *types.Func
-	param  int // -1 = receiver
-	toks   tokSet
-	pos    token.Pos
+	param  int
+	toks   vals[tokKey]
 }
 
 type fieldFlow struct {
 	field *types.Var
-	toks  tokSet
-	pos   token.Pos
+	toks  vals[tokKey]
 }
 
-type fnSummary struct {
-	node   *FuncNode
-	params []*types.Var // in signature order; receiver handled separately
-	recv   *types.Var
-	env    map[types.Object]tokSet
-	// rets tracks return taint per result position, so a tuple like
-	// (off, seg) where only off is guest-derived does not smear the
-	// second result.
-	rets    []tokSet
+// taintFlows is what one function's latest analysis found: the sinks
+// its values reach and the taint it passes into callees and fields.
+type taintFlows struct {
 	sinks   []sinkRec
 	args    []argFlow
 	fields  []fieldFlow
 	checked map[string]bool // expr strings bounds-checked in this function
-}
-
-// retsSignature is the part of a summary other functions' analyses
-// depend on; the whole-program pass iterates until it stabilizes.
-func (s *fnSummary) retsSignature() string {
-	var parts []string
-	for i, set := range s.rets {
-		for _, k := range set.sortedKeys() {
-			parts = append(parts, fmt.Sprintf("%d:%c%d%s%p", i, k.kind, k.param, k.src, k.field))
-		}
-	}
-	return strings.Join(parts, "|")
 }
 
 // --- the analysis ------------------------------------------------------
@@ -186,10 +153,9 @@ func (s *fnSummary) retsSignature() string {
 type taintAnalysis struct {
 	pass      *Pass
 	cg        *CallGraph
-	summaries map[*types.Func]*fnSummary
+	flows     map[*types.Func]*taintFlows
 	sanitized map[*ast.File]map[int]bool // lines covered by // sanitized:
-	facts     map[tokKey]*taintFact      // param/field facts, keyed with fn below
-	factFns   map[factKey]*taintFact
+	facts     map[factKey][]string       // tainted params and fields, with a display path
 }
 
 type factKey struct {
@@ -198,41 +164,18 @@ type factKey struct {
 	field *types.Var
 }
 
-type taintFact struct {
-	path []string // human-readable interprocedural steps
-}
-
-const maxSummaryRounds = 10
-
 func runTaint(pass *Pass) {
 	t := &taintAnalysis{
 		pass:      pass,
 		cg:        pass.Prog.CallGraph(),
-		summaries: make(map[*types.Func]*fnSummary),
+		flows:     make(map[*types.Func]*taintFlows),
 		sanitized: make(map[*ast.File]map[int]bool),
-		factFns:   make(map[factKey]*taintFact),
+		facts:     make(map[factKey][]string),
 	}
-	// Phase 1: per-function summaries, iterated until return-taint
-	// signatures stabilize (callees' summaries feed callers' call-result
-	// evaluation).
-	for round := 0; round < maxSummaryRounds; round++ {
-		changed := false
-		for _, node := range t.cg.Ordered {
-			old := ""
-			if prev, ok := t.summaries[node.Fn]; ok {
-				old = prev.retsSignature()
-			}
-			s := t.analyzeFunc(node)
-			t.summaries[node.Fn] = s
-			if s.retsSignature() != old {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	// Phase 2: global fixpoint pushing taint facts through call edges
+	// Phase 1: per-function return summaries on the shared engine; each
+	// function's final analysis leaves its sinks and flows behind.
+	newFlow[tokKey](pass.Prog, t, false).solve(t.cg.Ordered)
+	// Phase 2: push taint facts from the sources through call edges
 	// and struct fields.
 	t.solveFacts()
 	// Phase 3: report unsanitized sinks reached by active taint in the
@@ -240,78 +183,122 @@ func runTaint(pass *Pass) {
 	t.report()
 }
 
-// --- phase 1: intra-function flow --------------------------------------
+// --- the taint policy ----------------------------------------------------
 
-func (t *taintAnalysis) analyzeFunc(node *FuncNode) *fnSummary {
-	s := &fnSummary{
-		node:    node,
-		env:     make(map[types.Object]tokSet),
-		checked: make(map[string]bool),
-	}
-	if sig, ok := node.Fn.Type().(*types.Signature); ok {
-		s.rets = make([]tokSet, sig.Results().Len())
-		for i := range s.rets {
-			s.rets[i] = make(tokSet)
-		}
-	}
-	info := node.Pkg.Info
-	fd := node.Decl
+func (t *taintAnalysis) input(i int) tokKey { return tokKey{kind: tokParam, param: i} }
 
-	// Seed parameters (and receiver) with their symbolic tokens.
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		if v, ok := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-			s.recv = v
-			s.env[v] = tokSet{tokKey{kind: tokParam, param: -1}: {pos: fd.Pos()}}
+func (t *taintAnalysis) inputOf(k tokKey) (int, bool) { return k.param, k.kind == tokParam }
+
+// expr: field reads, arithmetic, struct literals and the clamping
+// builtins depart from plain propagation.
+func (t *taintAnalysis) expr(fr *frame[tokKey], e ast.Expr) (vals[tokKey], bool) {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if isFieldSel(fr.info, e) {
+			return t.evalField(fr, e), true
 		}
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				s.params = append(s.params, v)
-				s.env[v] = tokSet{tokKey{kind: tokParam, param: idx}: {pos: name.Pos()}}
+	case *ast.BinaryExpr:
+		return t.evalBinary(fr, e), true
+	case *ast.CompositeLit:
+		// Struct values carry taint only through their fields, which
+		// recordLitFieldWrites tracks globally; unioning the element
+		// taints into the value would smear one tainted field over
+		// every later read of the object. Slices/arrays/maps union:
+		// element reads evaluate to the container's taint.
+		if tv, ok := fr.info.Types[e]; ok {
+			typ := tv.Type
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
 			}
-			idx++
+			if _, isStruct := typ.Underlying().(*types.Struct); isStruct {
+				return nil, true
+			}
 		}
-		if len(field.Names) == 0 {
-			idx++
+	case *ast.CallExpr:
+		switch builtinName(fr.info, e) {
+		case "min":
+			// min() with any untainted operand clamps the result.
+			out := vals[tokKey]{}
+			for _, a := range e.Args {
+				at := fr.eval(a)
+				if len(at) == 0 {
+					return nil, true
+				}
+				out.join(at)
+			}
+			return out, true
+		case "max":
+			out := vals[tokKey]{}
+			for _, a := range e.Args {
+				out.join(fr.eval(a))
+			}
+			return out, true
 		}
 	}
+	return nil, false
+}
 
-	t.collectChecked(s)
+func (t *taintAnalysis) elem(v vals[tokKey]) vals[tokKey] { return v }
 
-	// Local dataflow fixpoint over assignments.
-	for iter := 0; iter < 30; iter++ {
-		if !t.propagateOnce(s) {
-			break
+// callee: guest-memory readers are sources; functions without a body
+// in the program (stdlib) pass taint in to taint out.
+func (t *taintAnalysis) callee(fr *frame[tokKey], call *ast.CallExpr, c *types.Func, out []vals[tokKey]) bool {
+	if c != nil && guestReadFuncs[c.Name()] {
+		out[0].add(tokKey{kind: tokSrc, src: "guest memory via " + c.Name()}, lvlDirect)
+		return true
+	}
+	if c == nil || t.cg.Node(c) == nil {
+		return fr.passThrough(call, out)
+	}
+	return false
+}
+
+// bind: writing a tainted element taints the whole local slice. Writes
+// through a struct field are deliberately NOT smeared onto the base
+// object — the field-based global facts (recordFieldWrites) track that
+// channel precisely; smearing the receiver would flag every later
+// access through the object.
+func (t *taintAnalysis) bind(fr *frame[tokKey], obj types.Object, v vals[tokKey], via storeVia) vals[tokKey] {
+	if via == viaField {
+		return nil
+	}
+	return v
+}
+
+// stmt: ranging over a tainted map taints its keys too.
+func (t *taintAnalysis) stmt(fr *frame[tokKey], n ast.Node) bool {
+	r, ok := n.(*ast.RangeStmt)
+	if !ok || r.Key == nil {
+		return false
+	}
+	if tv, ok := fr.info.Types[r.X]; ok {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			return fr.bind(r.Key, fr.eval(r.X))
 		}
 	}
-	// Final pass: record sinks, call-argument flows, field writes and
-	// return taint against the stabilized environment.
-	t.collectFlows(s)
-	return s
+	return false
 }
 
 // collectChecked gathers the canonical strings of expressions that
 // appear under a comparison or as a switch tag — the bounds-check
 // sanitizer set.
-func (t *taintAnalysis) collectChecked(s *fnSummary) {
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
+func collectChecked(fr *frame[tokKey]) map[string]bool {
+	checked := make(map[string]bool)
+	fr.inspect(func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			switch n.Op {
 			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-				addRootStrings(info, s.checked, n.X)
-				addRootStrings(info, s.checked, n.Y)
+				addRootStrings(fr.info, checked, n.X)
+				addRootStrings(fr.info, checked, n.Y)
 			}
 		case *ast.SwitchStmt:
 			if n.Tag != nil {
-				addRootStrings(info, s.checked, n.Tag)
+				addRootStrings(fr.info, checked, n.Tag)
 			}
 		}
-		return true
 	})
+	return checked
 }
 
 // addRootStrings records every maximal ident/selector chain inside e.
@@ -366,276 +353,17 @@ func chainString(e ast.Expr) string {
 	return ""
 }
 
-// propagateOnce runs one pass of assignment propagation; reports
-// whether the environment changed.
-func (t *taintAnalysis) propagateOnce(s *fnSummary) bool {
-	changed := false
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			toks := t.assignRHS(s, n)
-			for i, lhs := range n.Lhs {
-				set := toks[i]
-				if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
-					// Compound assignment keeps existing taint too.
-					set = set.clone()
-					set.join(t.eval(s, lhs))
-				}
-				if t.joinLHS(s, lhs, set) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				for i, name := range vs.Names {
-					var set tokSet
-					if len(vs.Values) == len(vs.Names) {
-						set = t.eval(s, vs.Values[i])
-					} else {
-						set = t.eval(s, vs.Values[0]) // tuple from call
-					}
-					if obj := info.Defs[name]; obj != nil && len(set) > 0 {
-						if t.joinObj(s, obj, set) {
-							changed = true
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			xt := t.eval(s, n.X)
-			if len(xt) > 0 && n.Value != nil {
-				if t.joinLHS(s, n.Value, xt) {
-					changed = true
-				}
-			}
-			if len(xt) > 0 && n.Key != nil {
-				if tv, ok := info.Types[n.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						if t.joinLHS(s, n.Key, xt) {
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
-func (ts tokSet) clone() tokSet {
-	out := make(tokSet, len(ts))
-	for k, o := range ts {
-		out[k] = o
+// evalField handles field reads: the base's taint carries through, a
+// read off a guest-state struct is an intrinsic source, and a read of a
+// program-declared field picks up that field's global taint.
+func (t *taintAnalysis) evalField(fr *frame[tokKey], e *ast.SelectorExpr) vals[tokKey] {
+	out := vals[tokKey]{}
+	out.join(fr.eval(e.X))
+	if tn := sourceTypeName(fr.info, e.X); tn != "" {
+		out.add(tokKey{kind: tokSrc, src: fmt.Sprintf("guest-state field %s.%s", tn, e.Sel.Name)}, lvlDirect)
 	}
-	return out
-}
-
-// assignRHS evaluates the right-hand sides of an assignment, expanding
-// a single multi-value expression across the LHS slots per result
-// position, so `off, seg := f()` taints each variable only with its
-// own result's taint.
-func (t *taintAnalysis) assignRHS(s *fnSummary, n *ast.AssignStmt) []tokSet {
-	out := make([]tokSet, len(n.Lhs))
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		return t.evalMulti(s, n.Rhs[0], len(n.Lhs))
-	}
-	for i := range n.Lhs {
-		if i < len(n.Rhs) {
-			out[i] = t.eval(s, n.Rhs[i])
-		} else {
-			out[i] = tokSet{}
-		}
-	}
-	return out
-}
-
-// evalMulti evaluates a multi-valued expression (tuple-returning call,
-// `v, ok` map/assert/receive forms) into n per-position token sets.
-func (t *taintAnalysis) evalMulti(s *fnSummary, e ast.Expr, n int) []tokSet {
-	out := make([]tokSet, n)
-	for i := range out {
-		out[i] = tokSet{}
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		// v, ok := m[k] / x.(T) / <-ch: the value slot carries the
-		// operand's taint, the bool is clean.
-		out[0] = t.eval(s, e)
-		return out
-	}
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		// Unknown tuple call: pass-through into the value slots.
-		set := t.passThrough(s, call)
-		for i := range out {
-			out[i] = set
-		}
-		return out
-	}
-	for _, callee := range callees {
-		if guestReadFuncs[callee.Name()] {
-			desc := "guest memory via " + callee.Name()
-			out[0][tokKey{kind: tokSrc, src: desc}] = origin{pos: call.Pos(), desc: desc}
-			continue
-		}
-		sum := t.summaries[callee]
-		if sum == nil || len(sum.rets) != n {
-			set := t.passThrough(s, call)
-			for i := range out {
-				out[i].join(set)
-			}
-			continue
-		}
-		for i, rset := range sum.rets {
-			out[i].join(t.mapCalleeToks(s, call, rset))
-		}
-	}
-	return out
-}
-
-// mapCalleeToks translates a callee summary's token set into the
-// caller's context: sources and field tokens are global, parameter
-// tokens resolve to the call-site argument expressions.
-func (t *taintAnalysis) mapCalleeToks(s *fnSummary, call *ast.CallExpr, toks tokSet) tokSet {
-	out := make(tokSet)
-	for k, o := range toks {
-		switch k.kind {
-		case tokSrc, tokField:
-			out[k] = o
-		case tokParam:
-			out.join(t.evalCallArg(s, call, k.param))
-		}
-	}
-	return out
-}
-
-// joinLHS merges taint into an assignment target: the local variable it
-// is rooted at (writing a tainted element taints the whole slice).
-// Writes through a struct field are deliberately NOT smeared onto the
-// base object — the field-based global facts (recordFieldWrites) track
-// that channel precisely; smearing the receiver would flag every later
-// access through the object.
-func (t *taintAnalysis) joinLHS(s *fnSummary, lhs ast.Expr, toks tokSet) bool {
-	if len(toks) == 0 {
-		return false
-	}
-	info := s.node.Pkg.Info
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil || x.Name == "_" {
-				return false
-			}
-			return t.joinObj(s, obj, toks)
-		case *ast.SelectorExpr:
-			return false // field write: handled field-based
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-func (t *taintAnalysis) joinObj(s *fnSummary, obj types.Object, toks tokSet) bool {
-	set, ok := s.env[obj]
-	if !ok {
-		set = make(tokSet)
-		s.env[obj] = set
-	}
-	return set.join(toks)
-}
-
-// eval computes the taint token set of an expression under the current
-// environment.
-func (t *taintAnalysis) eval(s *fnSummary, e ast.Expr) tokSet {
-	info := s.node.Pkg.Info
-	switch e := e.(type) {
-	case *ast.Ident:
-		if set, ok := s.env[info.ObjectOf(e)]; ok {
-			return set
-		}
-	case *ast.ParenExpr:
-		return t.eval(s, e.X)
-	case *ast.StarExpr:
-		return t.eval(s, e.X)
-	case *ast.UnaryExpr:
-		return t.eval(s, e.X)
-	case *ast.TypeAssertExpr:
-		return t.eval(s, e.X)
-	case *ast.IndexExpr:
-		return t.eval(s, e.X) // element of a tainted container
-	case *ast.SliceExpr:
-		return t.eval(s, e.X)
-	case *ast.SelectorExpr:
-		return t.evalSelector(s, e)
-	case *ast.BinaryExpr:
-		return t.evalBinary(s, e)
-	case *ast.CallExpr:
-		return t.evalCall(s, e)
-	case *ast.CompositeLit:
-		// Struct values carry taint only through their fields, which
-		// recordLitFieldWrites tracks globally; unioning the element
-		// taints into the value would smear one tainted field over
-		// every later read of the object. Slices/arrays/maps union:
-		// element reads evaluate to the container's taint.
-		if tv, ok := info.Types[e]; ok {
-			typ := tv.Type
-			if p, ok := typ.(*types.Pointer); ok {
-				typ = p.Elem()
-			}
-			if _, isStruct := typ.Underlying().(*types.Struct); isStruct {
-				return tokSet{}
-			}
-		}
-		out := make(tokSet)
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				out.join(t.eval(s, kv.Value))
-			} else {
-				out.join(t.eval(s, el))
-			}
-		}
-		return out
-	}
-	return tokSet{}
-}
-
-// evalSelector handles field reads: the base's taint carries through,
-// a read off a guest-state struct is an intrinsic source, and a read of
-// a program-declared field picks up that field's global taint.
-func (t *taintAnalysis) evalSelector(s *fnSummary, e *ast.SelectorExpr) tokSet {
-	info := s.node.Pkg.Info
-	sel, ok := info.Selections[e]
-	if !ok || sel.Kind() != types.FieldVal {
-		// Package-qualified name or method value.
-		if obj := info.Uses[e.Sel]; obj != nil {
-			if set, ok := s.env[obj]; ok {
-				return set
-			}
-		}
-		return tokSet{}
-	}
-	out := t.eval(s, e.X).clone()
-	fieldVar, _ := sel.Obj().(*types.Var)
-	if tn := sourceTypeName(info, e.X); tn != "" {
-		desc := fmt.Sprintf("guest-state field %s.%s", tn, e.Sel.Name)
-		out[tokKey{kind: tokSrc, src: desc}] = origin{pos: e.Pos(), desc: desc}
-	}
-	if fieldVar != nil && isProgramField(fieldVar) {
-		out[tokKey{kind: tokField, field: fieldVar}] = origin{pos: e.Pos(), desc: fieldDesc(fieldVar)}
+	if f, ok := fr.info.Selections[e].Obj().(*types.Var); ok && isProgramField(f) {
+		out.add(tokKey{kind: tokField, field: f}, lvlDirect)
 	}
 	return out
 }
@@ -668,27 +396,23 @@ func isProgramField(f *types.Var) bool {
 		strings.HasPrefix(f.Pkg().Path(), "fixture/"))
 }
 
-func fieldDesc(f *types.Var) string {
-	return "field " + f.Name()
-}
-
-func (t *taintAnalysis) evalBinary(s *fnSummary, e *ast.BinaryExpr) tokSet {
-	info := s.node.Pkg.Info
+func (t *taintAnalysis) evalBinary(fr *frame[tokKey], e *ast.BinaryExpr) vals[tokKey] {
 	switch e.Op {
 	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ,
 		token.LAND, token.LOR:
-		return tokSet{} // booleans carry no index taint
+		return nil // booleans carry no index taint
 	case token.AND:
 		// A constant mask bounds the value: sanitized.
-		if isConstExpr(info, e.X) || isConstExpr(info, e.Y) {
-			return tokSet{}
+		if isConstExpr(fr.info, e.X) || isConstExpr(fr.info, e.Y) {
+			return nil
 		}
 	case token.REM:
 		// x % y is bounded by y; taint follows the modulus only.
-		return t.eval(s, e.Y)
+		return fr.eval(e.Y)
 	}
-	out := t.eval(s, e.X).clone()
-	out.join(t.eval(s, e.Y))
+	out := vals[tokKey]{}
+	out.join(fr.eval(e.X))
+	out.join(fr.eval(e.Y))
 	return out
 }
 
@@ -697,209 +421,76 @@ func isConstExpr(info *types.Info, e ast.Expr) bool {
 	return ok && tv.Value != nil
 }
 
-// evalCall models calls: conversions and builtins inline, guest-memory
-// readers as sources, program functions through their return summaries,
-// and unknown (stdlib) functions as taint-preserving pass-through.
-func (t *taintAnalysis) evalCall(s *fnSummary, call *ast.CallExpr) tokSet {
-	info := s.node.Pkg.Info
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return t.eval(s, call.Args[0]) // conversion
-		}
-		return tokSet{}
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "len", "cap", "copy", "make", "new", "delete", "clear":
-				return tokSet{}
-			case "min":
-				// min() with any untainted operand clamps the result.
-				out := make(tokSet)
-				for _, a := range call.Args {
-					at := t.eval(s, a)
-					if len(at) == 0 {
-						return tokSet{}
-					}
-					out.join(at)
-				}
-				return out
-			case "append", "max":
-				out := make(tokSet)
-				for _, a := range call.Args {
-					out.join(t.eval(s, a))
-				}
-				return out
-			default:
-				return tokSet{}
-			}
-		}
-	}
-
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return t.passThrough(s, call)
-	}
-	out := make(tokSet)
-	for _, callee := range callees {
-		if guestReadFuncs[callee.Name()] {
-			desc := "guest memory via " + callee.Name()
-			out[tokKey{kind: tokSrc, src: desc}] = origin{pos: call.Pos(), desc: desc}
-			continue
-		}
-		sum := t.summaries[callee]
-		if sum == nil {
-			out.join(t.passThrough(s, call))
-			continue
-		}
-		for _, rset := range sum.rets {
-			out.join(t.mapCalleeToks(s, call, rset))
-		}
-	}
-	return out
-}
-
-// passThrough is the model for functions without a body in the program
-// (stdlib): taint in, taint out.
-func (t *taintAnalysis) passThrough(s *fnSummary, call *ast.CallExpr) tokSet {
-	out := make(tokSet)
-	for _, a := range call.Args {
-		out.join(t.eval(s, a))
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			out.join(t.eval(s, sel.X))
-		}
-	}
-	return out
-}
-
-// evalCallArg returns the taint of the expression bound to a callee
-// parameter (-1 = receiver) at this call site.
-func (t *taintAnalysis) evalCallArg(s *fnSummary, call *ast.CallExpr, param int) tokSet {
-	if param == -1 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if selInfo, ok := s.node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-				return t.eval(s, sel.X)
-			}
-		}
-		return tokSet{}
-	}
-	if param >= 0 && param < len(call.Args) {
-		return t.eval(s, call.Args[param])
-	}
-	if len(call.Args) > 0 && param >= len(call.Args) {
-		return t.eval(s, call.Args[len(call.Args)-1]) // variadic tail
-	}
-	return tokSet{}
-}
-
 // --- flows and sinks ----------------------------------------------------
 
-// collectFlows records, against the stabilized environment: sink hits,
-// taint entering call arguments, taint stored into fields, and taint
-// reaching return values.
-func (t *taintAnalysis) collectFlows(s *fnSummary) {
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
+// collect records, against the settled environment: sink hits, taint
+// entering call arguments, and taint stored into fields. None of it is
+// visible to callers, whose summaries depend only on the results.
+func (t *taintAnalysis) collect(fr *frame[tokKey]) bool {
+	f := &taintFlows{checked: collectChecked(fr)}
+	t.flows[fr.node.Fn] = f
+	fr.inspect(func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
-			tv, ok := info.Types[n.X]
-			if !ok {
-				return true
-			}
-			switch tv.Type.Underlying().(type) {
-			case *types.Slice, *types.Array:
-				t.checkSink(s, n.Index, n.Pos(), "slice/array index")
-			case *types.Pointer: // *[N]T indexing
-				t.checkSink(s, n.Index, n.Pos(), "slice/array index")
+			if tv, ok := fr.info.Types[n.X]; ok {
+				switch tv.Type.Underlying().(type) {
+				case *types.Slice, *types.Array, *types.Pointer: // *[N]T indexing
+					t.checkSink(fr, f, n.Index, n.Pos(), "slice/array index")
+				}
 			}
 		case *ast.SliceExpr:
 			for _, bound := range []ast.Expr{n.Low, n.High, n.Max} {
 				if bound != nil {
-					t.checkSink(s, bound, n.Pos(), "slice bound")
+					t.checkSink(fr, f, bound, n.Pos(), "slice bound")
 				}
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.SHL || n.Op == token.SHR {
-				t.checkSink(s, n.Y, n.Pos(), "shift amount")
+				t.checkSink(fr, f, n.Y, n.Pos(), "shift amount")
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN {
-				t.checkSink(s, n.Rhs[0], n.Pos(), "shift amount")
+				t.checkSink(fr, f, n.Rhs[0], n.Pos(), "shift amount")
 			}
-			t.recordFieldWrites(s, n)
+			t.recordFieldWrites(fr, f, n)
 		case *ast.CompositeLit:
-			t.recordLitFieldWrites(s, n)
+			t.recordLitFieldWrites(fr, f, n)
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
-					for _, a := range n.Args[1:] {
-						t.checkSink(s, a, n.Pos(), "make length")
-					}
+			if builtinName(fr.info, n) == "make" {
+				for _, a := range n.Args[1:] {
+					t.checkSink(fr, f, a, n.Pos(), "make length")
 				}
 			}
-			t.recordCallFlows(s, n)
-		case *ast.ReturnStmt:
-			switch {
-			case len(n.Results) == len(s.rets):
-				for i, r := range n.Results {
-					s.rets[i].join(t.eval(s, r))
-				}
-			case len(n.Results) == 1 && len(s.rets) > 1:
-				// return f() forwarding a tuple
-				for i, set := range t.evalMulti(s, n.Results[0], len(s.rets)) {
-					s.rets[i].join(set)
-				}
-			case len(n.Results) == 0 && s.node.Decl.Type.Results != nil:
-				i := 0
-				for _, field := range s.node.Decl.Type.Results.List {
-					for _, name := range field.Names {
-						if set, ok := s.env[info.Defs[name]]; ok && i < len(s.rets) {
-							s.rets[i].join(set)
-						}
-						i++
-					}
-					if len(field.Names) == 0 {
-						i++
-					}
-				}
-			}
+			t.recordCallFlows(fr, f, n)
 		}
-		return true
 	})
+	return false
 }
 
 // checkSink records a sink hit unless the value is constant or
 // sanitized.
-func (t *taintAnalysis) checkSink(s *fnSummary, e ast.Expr, pos token.Pos, what string) {
-	info := s.node.Pkg.Info
-	if isConstExpr(info, e) {
+func (t *taintAnalysis) checkSink(fr *frame[tokKey], f *taintFlows, e ast.Expr, pos token.Pos, what string) {
+	if isConstExpr(fr.info, e) {
 		return
 	}
-	toks := t.eval(s, e)
-	if len(toks) == 0 {
-		return
+	if toks := fr.eval(e); len(toks) > 0 && !t.isSanitized(fr, f, e, pos) {
+		f.sinks = append(f.sinks, sinkRec{pos: pos, what: what, toks: toks})
 	}
-	if t.isSanitized(s, e, pos) {
-		return
-	}
-	s.sinks = append(s.sinks, sinkRec{pos: pos, what: what, toks: toks.clone()})
 }
 
 // isSanitized reports whether a sink value passed a bounds check (a
 // root of the expression appears under a comparison or switch in this
 // function) or carries a `// sanitized:` annotation on its line or the
 // line above.
-func (t *taintAnalysis) isSanitized(s *fnSummary, e ast.Expr, pos token.Pos) bool {
+func (t *taintAnalysis) isSanitized(fr *frame[tokKey], f *taintFlows, e ast.Expr, pos token.Pos) bool {
 	roots := make(map[string]bool)
-	addRootStrings(s.node.Pkg.Info, roots, e)
+	addRootStrings(fr.info, roots, e)
 	for r := range roots {
-		if s.checked[r] {
+		if f.checked[r] {
 			return true
 		}
 	}
-	file := fileOf(s.node.Pkg, pos)
+	file := fileOf(fr.node.Pkg, pos)
 	if file == nil {
 		return false
 	}
@@ -941,19 +532,12 @@ func (t *taintAnalysis) sanitizedLinesFor(f *ast.File) map[int]bool {
 
 // recordFieldWrites captures taint stored into struct fields through
 // assignment statements.
-func (t *taintAnalysis) recordFieldWrites(s *fnSummary, n *ast.AssignStmt) {
-	info := s.node.Pkg.Info
-	toks := t.assignRHS(s, n)
-	for i, lhs := range n.Lhs {
-		set := toks[i]
-		if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
-			set = set.clone()
-			set.join(t.eval(s, lhs))
-		}
+func (t *taintAnalysis) recordFieldWrites(fr *frame[tokKey], f *taintFlows, n *ast.AssignStmt) {
+	for i, set := range fr.assigned(n) {
 		if len(set) == 0 {
 			continue
 		}
-		target := lhs
+		target := n.Lhs[i]
 		for {
 			if idx, ok := target.(*ast.IndexExpr); ok {
 				target = idx.X
@@ -966,29 +550,21 @@ func (t *taintAnalysis) recordFieldWrites(s *fnSummary, n *ast.AssignStmt) {
 			break
 		}
 		sel, ok := target.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || !isFieldSel(fr.info, sel) {
 			continue
 		}
-		selInfo, ok := info.Selections[sel]
-		if !ok || selInfo.Kind() != types.FieldVal {
+		field, ok := fr.info.Selections[sel].Obj().(*types.Var)
+		if !ok || !isProgramField(field) || t.isSanitized(fr, f, n.Rhs[min(i, len(n.Rhs)-1)], n.Pos()) {
 			continue
 		}
-		f, ok := selInfo.Obj().(*types.Var)
-		if !ok || !isProgramField(f) {
-			continue
-		}
-		if t.isSanitized(s, n.Rhs[min(i, len(n.Rhs)-1)], n.Pos()) {
-			continue
-		}
-		s.fields = append(s.fields, fieldFlow{field: f, toks: set.clone(), pos: n.Pos()})
+		f.fields = append(f.fields, fieldFlow{field: field, toks: set})
 	}
 }
 
 // recordLitFieldWrites captures taint stored into fields via composite
 // literals (DiskRequest{LBA: guestLBA, ...}).
-func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) {
-	info := s.node.Pkg.Info
-	tv, ok := info.Types[n]
+func (t *taintAnalysis) recordLitFieldWrites(fr *frame[tokKey], f *taintFlows, n *ast.CompositeLit) {
+	tv, ok := fr.info.Types[n]
 	if !ok {
 		return
 	}
@@ -1009,15 +585,15 @@ func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) 
 		if !ok {
 			continue
 		}
-		set := t.eval(s, kv.Value)
+		set := fr.eval(kv.Value)
 		if len(set) == 0 {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if f.Name() == key.Name && isProgramField(f) {
-				if !t.isSanitized(s, kv.Value, kv.Pos()) {
-					s.fields = append(s.fields, fieldFlow{field: f, toks: set.clone(), pos: kv.Pos()})
+			field := st.Field(i)
+			if field.Name() == key.Name && isProgramField(field) {
+				if !t.isSanitized(fr, f, kv.Value, kv.Pos()) {
+					f.fields = append(f.fields, fieldFlow{field: field, toks: set})
 				}
 				break
 			}
@@ -1026,103 +602,102 @@ func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) 
 }
 
 // recordCallFlows captures taint entering callee parameters, for the
-// interprocedural fixpoint.
-func (t *taintAnalysis) recordCallFlows(s *fnSummary, call *ast.CallExpr) {
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return
-	}
-	for _, callee := range callees {
+// fact propagation. Receiver taint is deliberately not propagated as a
+// fact: an object is "tainted" only through specific fields, and those
+// travel via the field-based channel.
+func (t *taintAnalysis) recordCallFlows(fr *frame[tokKey], f *taintFlows, call *ast.CallExpr) {
+	var args []vals[tokKey]
+	for _, callee := range t.cg.CalleesAt(call) {
 		if t.cg.Node(callee) == nil {
 			continue // no body: nothing to propagate into
 		}
-		for j, a := range call.Args {
-			set := t.eval(s, a)
-			if len(set) == 0 || t.isSanitized(s, a, a.Pos()) {
-				continue
+		if args == nil {
+			args = make([]vals[tokKey], len(call.Args))
+			for j, a := range call.Args {
+				if !t.isSanitized(fr, f, a, a.Pos()) {
+					args[j] = fr.eval(a)
+				}
 			}
-			s.args = append(s.args, argFlow{callee: callee, param: j, toks: set.clone(), pos: call.Pos()})
 		}
-		// Receiver taint is deliberately not propagated as a fact: an
-		// object is "tainted" only through specific fields, and those
-		// travel via the field-based channel.
+		for j, set := range args {
+			if len(set) > 0 {
+				f.args = append(f.args, argFlow{callee: callee, param: j, toks: set})
+			}
+		}
 	}
 }
 
-// --- phase 2: global fact fixpoint --------------------------------------
+// --- phase 2: fact propagation -------------------------------------------
 
-// tokenFact resolves a symbolic token to its active taint fact within
-// fn, or nil if the token is not currently tainted.
-func (t *taintAnalysis) tokenFact(fn *types.Func, k tokKey, o origin) (*taintFact, bool) {
-	switch k.kind {
-	case tokSrc:
-		return &taintFact{path: []string{fmt.Sprintf("%s (in %s)", o.desc, FuncDisplayName(fn))}}, true
-	case tokParam:
-		f, ok := t.factFns[factKey{fn: fn, param: k.param}]
-		return f, ok
-	case tokField:
-		f, ok := t.factFns[factKey{param: -2, field: k.field}]
-		return f, ok
-	}
-	return nil, false
-}
-
-const maxPathSteps = 12
-
+// solveFacts pushes taint from the sources through the recorded call
+// and field flows, breadth first: a parameter or field is tainted once
+// some flow carries an active token into it. Facts only accumulate, so
+// the propagation terminates; each keeps the first (shortest) path
+// that explains it, for display.
 func (t *taintAnalysis) solveFacts() {
-	for changed := true; changed; {
-		changed = false
-		for _, node := range t.cg.Ordered {
-			s := t.summaries[node.Fn]
-			if s == nil {
-				continue
-			}
-			for _, af := range s.args {
-				for _, k := range af.toks.sortedKeys() {
-					base, ok := t.tokenFact(node.Fn, k, af.toks[k])
-					if !ok {
-						continue
-					}
-					key := factKey{fn: af.callee, param: af.param}
-					if _, exists := t.factFns[key]; exists {
-						continue
-					}
-					if len(base.path) >= maxPathSteps {
-						continue
-					}
-					what := "receiver"
-					if af.param >= 0 {
-						what = fmt.Sprintf("parameter %s", calleeParamName(t.cg, af.callee, af.param))
-					}
-					t.factFns[key] = &taintFact{path: append(append([]string{}, base.path...),
-						fmt.Sprintf("passed to %s of %s", what, FuncDisplayName(af.callee)))}
-					changed = true
-				}
-			}
-			for _, ff := range s.fields {
-				for _, k := range ff.toks.sortedKeys() {
-					base, ok := t.tokenFact(node.Fn, k, ff.toks[k])
-					if !ok {
-						continue
-					}
-					key := factKey{param: -2, field: ff.field}
-					if _, exists := t.factFns[key]; exists {
-						continue
-					}
-					if len(base.path) >= maxPathSteps {
-						continue
-					}
-					t.factFns[key] = &taintFact{path: append(append([]string{}, base.path...),
-						fmt.Sprintf("stored into field %s (in %s)", fieldQualName(ff.field), FuncDisplayName(node.Fn)))}
-					changed = true
-				}
+	type edge struct {
+		from   *types.Func
+		toks   vals[tokKey]
+		target factKey
+		step   string
+	}
+	var edges []edge
+	for _, node := range t.cg.Ordered {
+		f := t.flows[node.Fn]
+		if f == nil {
+			continue
+		}
+		for _, af := range f.args {
+			edges = append(edges, edge{node.Fn, af.toks, factKey{fn: af.callee, param: af.param},
+				fmt.Sprintf("passed to parameter %s of %s", calleeParamName(af.callee, af.param), FuncDisplayName(af.callee))})
+		}
+		for _, ff := range f.fields {
+			edges = append(edges, edge{node.Fn, ff.toks, factKey{param: -2, field: ff.field},
+				fmt.Sprintf("stored into field %s (in %s)", fieldQualName(ff.field), FuncDisplayName(node.Fn))})
+		}
+	}
+	var queue []factKey
+	activate := func(key factKey, path []string) {
+		if _, ok := t.facts[key]; !ok {
+			t.facts[key] = path
+			queue = append(queue, key)
+		}
+	}
+	triggers := make(map[factKey][]int)
+	for i, e := range edges {
+		for _, k := range sortedToks(e.toks) {
+			if k.kind == tokSrc {
+				activate(e.target, extendPath(sourcePath(e.from, k), e.step))
+			} else {
+				key := tokenKey(e.from, k)
+				triggers[key] = append(triggers[key], i)
 			}
 		}
 	}
+	for len(queue) > 0 {
+		key := queue[0]
+		queue = queue[1:]
+		for _, i := range triggers[key] {
+			activate(edges[i].target, extendPath(t.facts[key], edges[i].step))
+		}
+	}
+}
+
+// tokenKey is the fact a parameter or field token of fn depends on.
+func tokenKey(fn *types.Func, k tokKey) factKey {
+	if k.kind == tokField {
+		return factKey{param: -2, field: k.field}
+	}
+	return factKey{fn: fn, param: k.param}
+}
+
+// sourcePath is the display path of a source token read in fn.
+func sourcePath(fn *types.Func, k tokKey) []string {
+	return []string{fmt.Sprintf("%s (in %s)", k.src, FuncDisplayName(fn))}
 }
 
 // calleeParamName names a callee parameter for path rendering.
-func calleeParamName(cg *CallGraph, fn *types.Func, idx int) string {
+func calleeParamName(fn *types.Func, idx int) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || idx >= sig.Params().Len() {
 		return fmt.Sprintf("#%d", idx)
@@ -1173,22 +748,21 @@ func (t *taintAnalysis) report() {
 		targets[pkg] = true
 	}
 	for _, node := range t.cg.Ordered {
-		if !targets[node.Pkg] {
+		f := t.flows[node.Fn]
+		if !targets[node.Pkg] || f == nil {
 			continue
 		}
-		s := t.summaries[node.Fn]
-		if s == nil {
-			continue
-		}
-		for _, sink := range s.sinks {
-			for _, k := range sink.toks.sortedKeys() {
-				fact, ok := t.tokenFact(node.Fn, k, sink.toks[k])
-				if !ok {
-					continue
+		for _, sink := range f.sinks {
+			for _, k := range sortedToks(sink.toks) {
+				path := sourcePath(node.Fn, k)
+				if k.kind != tokSrc {
+					var ok bool
+					if path, ok = t.facts[tokenKey(node.Fn, k)]; !ok {
+						continue
+					}
 				}
-				path := strings.Join(append(append([]string{}, fact.path...),
-					fmt.Sprintf("reaches %s in %s", sink.what, FuncDisplayName(node.Fn))), " -> ")
-				t.pass.Reportf(sink.pos, "guest-controlled value reaches %s without bounds check or // sanitized: annotation; path: %s", sink.what, path)
+				path = append(path[:len(path):len(path)], fmt.Sprintf("reaches %s in %s", sink.what, FuncDisplayName(node.Fn)))
+				t.pass.Reportf(sink.pos, "guest-controlled value reaches %s without bounds check or // sanitized: annotation; path: %s", sink.what, strings.Join(path, " -> "))
 				break // one report per sink site
 			}
 		}

@@ -200,6 +200,37 @@ func (k *Kernel) park(ec *EC) {
 	k.stash = ec
 }
 
+// FixRecurEnter leaks through mutual recursion: recurA stores its
+// argument into kernel state and calls recurB, which calls recurA back.
+func (k *Kernel) FixRecurEnter(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	k.recurA(ec)
+	return nil
+}
+
+// FixRecurMid enters the same cycle at recurB: its leak goes through
+// recurB's summary, which depends on recurA's.
+func (k *Kernel) FixRecurMid(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	k.recurB(ec)
+	return nil
+}
+
+func (k *Kernel) recurA(ec *EC) {
+	k.recurB(ec)
+	k.stash = ec
+}
+
+func (k *Kernel) recurB(ec *EC) {
+	if ec.prio > 0 {
+		k.recurA(ec)
+	}
+}
+
 // FixDrift has a table row declaring an EC validation, but the body
 // performs no lookup at all: specification/implementation drift.
 func (k *Kernel) FixDrift(caller *PD, ec *EC) error { // want "performs no such"

@@ -56,3 +56,22 @@ func (m *Machine) Step(scratch []byte) {
 	Fill(4, scratch)
 	Bump()
 }
+
+// Deep is written only at the bottom of a fourteen-function call chain:
+// the write must reach the top however long its path grows.
+var Deep int
+
+func DeepTop() { deep1() }
+func deep1()   { deep2() }
+func deep2()   { deep3() }
+func deep3()   { deep4() }
+func deep4()   { deep5() }
+func deep5()   { deep6() }
+func deep6()   { deep7() }
+func deep7()   { deep8() }
+func deep8()   { deep9() }
+func deep9()   { deep10() }
+func deep10()  { deep11() }
+func deep11()  { deep12() }
+func deep12()  { deep13() }
+func deep13()  { Deep = 1 }

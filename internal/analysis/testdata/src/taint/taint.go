@@ -109,3 +109,34 @@ func switched(e *VMExit, tbl []byte) byte {
 	}
 	return 0
 }
+
+// A fourteen-function chain: the guest value read in hop0 reaches the
+// sink thirteen calls later, and the displayed path is truncated.
+func hop0(e *VMExit, tbl []byte) byte { return hop1(tbl, e.Reason) }
+func hop1(tbl []byte, i int) byte     { return hop2(tbl, i) }
+func hop2(tbl []byte, i int) byte     { return hop3(tbl, i) }
+func hop3(tbl []byte, i int) byte     { return hop4(tbl, i) }
+func hop4(tbl []byte, i int) byte     { return hop5(tbl, i) }
+func hop5(tbl []byte, i int) byte     { return hop6(tbl, i) }
+func hop6(tbl []byte, i int) byte     { return hop7(tbl, i) }
+func hop7(tbl []byte, i int) byte     { return hop8(tbl, i) }
+func hop8(tbl []byte, i int) byte     { return hop9(tbl, i) }
+func hop9(tbl []byte, i int) byte     { return hop10(tbl, i) }
+func hop10(tbl []byte, i int) byte    { return hop11(tbl, i) }
+func hop11(tbl []byte, i int) byte    { return hop12(tbl, i) }
+func hop12(tbl []byte, i int) byte    { return hop13(tbl, i) }
+func hop13(tbl []byte, i int) byte {
+	return tbl[i] // want "-> ... -> reaches slice/array index in taint.hop13"
+}
+
+// Two structs with a field of the same name both carry guest data into
+// one sink; the report must name the same one on every run.
+type portA struct{ n int }
+type portB struct{ n int }
+
+func (a *portA) set(e *VMExit) { a.n = e.Reason }
+func (b *portB) set(e *VMExit) { b.n = int(e.Port) }
+
+func twin(a *portA, b *portB, tbl []byte) byte {
+	return tbl[a.n+b.n] // want "stored into field portA.n"
+}
